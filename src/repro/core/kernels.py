@@ -115,6 +115,29 @@ class FusedRange:
         return int(self.out_fy.shape[0])
 
 
+#: rows compared per block by :func:`pairs_ascending`
+_ORDER_CHECK_BLOCK = 1 << 16
+
+
+def pairs_ascending(fgrp: np.ndarray, fy: np.ndarray) -> bool:
+    """True when ``(fgrp, fy)`` rows never decrease lexicographically.
+
+    The hash-accumulator kernels emit their output in this order, which
+    is Z's row order, so a true result means stage 5's sort would be the
+    identity. Compares neighbouring rows block by block, so the check
+    allocates a few boolean arrays of one block each, never a key array.
+    """
+    n = int(fgrp.shape[0])
+    for lo in range(0, n - 1, _ORDER_CHECK_BLOCK):
+        hi = min(lo + _ORDER_CHECK_BLOCK, n - 1)
+        g0, g1 = fgrp[lo:hi], fgrp[lo + 1:hi + 1]
+        if (g1 < g0).any():
+            return False
+        if ((g1 == g0) & (fy[lo + 1:hi + 1] < fy[lo:hi])).any():
+            return False
+    return True
+
+
 def hta_model_nbytes(
     max_distinct: int, accumulator_buckets: Optional[int] = None
 ) -> int:

@@ -36,6 +36,7 @@ from repro.core.kernels import (
     assemble_fused,
     fused_compute,
     hta_model_nbytes,
+    pairs_ascending,
     record_computation_traffic,
     record_hty_build,
 )
@@ -104,6 +105,11 @@ def looped_contract(
     per-signature generated kernels of the fused path (see
     :func:`repro.core.kernels.fused_compute`); they never change
     results, only wall time.
+
+    The fused path with the hash accumulator emits Z already in sorted
+    order. Stage 5 checks that order and, when it holds, skips the sort
+    and sets ``flags["output_sorting"] = "presorted"``. The sort's
+    Table-2 traffic is charged either way.
     """
     if granularity not in ("element", "subtensor", "subtensor_loop"):
         raise ContractionError(
@@ -148,8 +154,10 @@ def looped_contract(
 
     # ---------------- stages 2-4: computation ------------------------
     tc0 = clock()
+    # (fgrp, fy) of the fused hash path, which emits Z in sorted order
+    order_keys = None
     if granularity == "subtensor":
-        z, products, hta_peak_bytes = _fused_stages(
+        z, products, hta_peak_bytes, order_keys = _fused_stages(
             px,
             sy if sy is not None else hty,
             plan,
@@ -191,7 +199,14 @@ def looped_contract(
     # ---------------- stage 5: output sorting ------------------------
     if sort_output:
         t0 = clock()
-        z = z.sort()
+        presorted = order_keys is not None and pairs_ascending(*order_keys)
+        order_keys = None  # free the keys before a sort allocates
+        if presorted:
+            # The sort would be the identity; its Table-2 bytes below
+            # are still charged, since they model the paper's quicksort.
+            profile.set_flag("output_sorting", "presorted")
+        else:
+            z = z.sort()
         t1 = clock()
         profile.add_time(Stage.OUTPUT_SORTING, t1 - t0)
         tr.add_span(Stage.OUTPUT_SORTING.value, start=t0, end=t1)
@@ -231,7 +246,13 @@ def looped_contract(
 def _fused_stages(px, source, plan, profile, *, y_structure, accumulator,
                   accumulator_buckets, codegen=None, dense_threshold=None,
                   workspace_cap=None, clock=time.perf_counter):
-    """Stages 2-4 through the fused flat-batch kernel."""
+    """Stages 2-4 through the fused flat-batch kernel.
+
+    Also returns the output's ``(fgrp, fy)`` keys when the hash
+    accumulator produced it (they are in Z's row order unless a kernel
+    misbehaves), else None: the SPA emits each sub-tensor's keys in
+    insertion order.
+    """
     kernel_kwargs = {}
     if dense_threshold is not None:
         kernel_kwargs["dense_threshold"] = dense_threshold
@@ -259,12 +280,17 @@ def _fused_stages(px, source, plan, profile, *, y_structure, accumulator,
     else:
         hta_peak_bytes = fr.spa_peak_bytes
     t0 = clock()
+    # Z gets its own values buffer, copied out like Algorithm 2 line 17.
+    # Aliasing out_vals would keep a buffer allocated among the kernel's
+    # temporaries alive after them, and the allocator then cannot return
+    # their heap to the OS (3-4 MB more peak RSS on a 234k-nnz Z).
     z = assemble_fused(
-        fr.out_fgrp, fr.out_fy, fr.out_vals, px.fx_rows, plan, profile,
-        codegen=codegen,
+        fr.out_fgrp, fr.out_fy, fr.out_vals.copy(), px.fx_rows, plan,
+        profile, codegen=codegen,
     )
     profile.add_time(Stage.WRITEBACK, clock() - t0)
-    return z, fr.products, hta_peak_bytes
+    order_keys = (fr.out_fgrp, fr.out_fy) if accumulator == "hash" else None
+    return z, fr.products, hta_peak_bytes, order_keys
 
 
 def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,

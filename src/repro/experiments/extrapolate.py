@@ -1,8 +1,8 @@
 """Scaling law behind Figure 4: speedup grows with tensor size.
 
 Our Figure-4 wall-clocks run on tensors ~100x smaller than the paper's,
-so the measured speedups (2-18x) understate the paper's 28-576x. The
-reason is structural: the cost Sparta removes is O(nnz_X x nnz_Y) (Eq. 3)
+so the measured speedups understate the paper's 28-576x. The reason is
+structural: the cost Sparta removes is O(nnz_X x nnz_Y) (Eq. 3)
 while Sparta's own cost is ~O(nnz_X x nnz_Favg) (Eq. 4), so the speedup
 grows roughly linearly in nnz_Y at fixed fiber statistics.
 
@@ -12,7 +12,9 @@ extrapolates the trend to the paper's tensor sizes. The extrapolation is
 an *upper-bound trend* — it holds fiber statistics fixed, whereas the
 real tensors' sub-tensors also grow, slowing Sparta too — so the check
 is that the paper's 28-576x lies *below* the trend line at paper scale
-and *above* the measured points, which is exactly where it lands.
+and *above* the measured points. The report says per case whether it
+does: a case whose speedup barely grows with nnz_Y has a trend line that
+stays below the paper's range.
 
 Run: ``python -m repro.experiments.extrapolate``.
 """
@@ -38,6 +40,9 @@ DEFAULT_CASES: Tuple[Tuple[str, int], ...] = (
 )
 
 DEFAULT_SCALES = (0.1, 0.2, 0.4)
+
+#: the paper's Sparta-over-SpTC-SPA speedup range (Figure 4)
+PAPER_SPEEDUPS = (28.0, 576.0)
 
 
 @dataclass
@@ -138,12 +143,33 @@ def main(argv: Sequence[str] | None = None) -> str:
         ),
     )
     print(table)
-    print(
-        "interpretation: the speedup grows with nnz_Y (Eq. 3 vs Eq. 4);"
-        "\nthe paper's 28-576x sits between our measured points and the"
-        "\nfixed-statistics trend line at the paper's sizes, as expected."
-    )
+    print(interpretation(rows))
     return table
+
+
+def interpretation(rows: Sequence[ScalingRow]) -> str:
+    """Per case: does the paper's range lie between our points and trend?
+
+    The paper's range "lies between" when it overlaps the span from the
+    largest measured speedup to the trend at the paper's size.
+    """
+    lo, hi = PAPER_SPEEDUPS
+    lines = [
+        "interpretation: Eq. 3 vs Eq. 4 predicts a speedup that grows with"
+        " nnz_Y;",
+        f"does the paper's {lo:.0f}-{hi:.0f}x lie between our largest"
+        " measured speedup and the",
+        "fixed-statistics trend at the paper's size?",
+    ]
+    for r in rows:
+        top = max(r.speedups)
+        a, b = sorted((top, r.trend_at_paper_scale))
+        verdict = "yes" if a <= hi and b >= lo else "no"
+        lines.append(
+            f"  {r.label}: {top:.1f}x measured, {r.trend_at_paper_scale:.0f}x"
+            f" trend (exponent {r.alpha:.2f}): {verdict}"
+        )
+    return "\n".join(lines)
 
 
 if __name__ == "__main__":  # pragma: no cover

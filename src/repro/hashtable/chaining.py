@@ -36,6 +36,23 @@ def _hash_keys(keys: np.ndarray, num_buckets: int) -> np.ndarray:
     return (h % np.uint64(num_buckets)).astype(np.int64)
 
 
+def _bucket_order(buckets: np.ndarray, num_buckets: int) -> np.ndarray:
+    """Stable permutation that groups *buckets* in ascending order.
+
+    An LSD radix sort over 16-bit digits, one pass per digit that
+    ``num_buckets`` needs (one pass up to 65,536 buckets, two up to
+    2^32). numpy's stable argsort of ``uint16`` is itself a radix sort,
+    so every pass is linear in the number of keys.
+    """
+    order = np.argsort((buckets & 0xFFFF).astype(np.uint16), kind="stable")
+    shift = 16
+    while (num_buckets - 1) >> shift:
+        digit = ((buckets[order] >> shift) & 0xFFFF).astype(np.uint16)
+        order = order[np.argsort(digit, kind="stable")]
+        shift += 16
+    return order
+
+
 def default_num_buckets(expected_keys: int) -> int:
     """Bucket count targeting load factor ~1 (power of two, >= 16)."""
     n = 16
@@ -99,11 +116,12 @@ class ChainingHashTable:
         ``key_arrays`` are the sorted, locally-unique key sets produced by
         per-worker partial builds (stage 1 of the parallel pipeline). The
         union is computed with one vectorized merge (concatenate + stable
-        argsort + boundary mask — no Python per-key loop) and the chains
-        are spliced exactly as :meth:`insert_many` would splice them when
-        inserting the merged keys into an empty table, so the resulting
+        argsort + boundary mask — no Python per-key loop). The merged keys
+        are sorted, unique and go into an empty table, so they are linked
+        straight into their chains with no dedup and no lookup, through
+        the same splice :meth:`insert_many` uses. The resulting
         ``heads``/``keys``/``nxt`` arrays — and therefore every future
-        probe count — are bit-identical to a serial single-pass build.
+        probe count — are bit-identical to inserting the keys one by one.
 
         Returns ``(table, merged_keys)`` where ``merged_keys[g]`` is the
         key stored in slot *g* (ascending).
@@ -126,7 +144,7 @@ class ChainingHashTable:
         if num_buckets is None:
             num_buckets = default_num_buckets(merged.shape[0])
         table = cls(num_buckets, capacity_hint=merged.shape[0])
-        table.insert_many(merged)
+        table._append(merged)
         return table, merged
 
     # ------------------------------------------------------------------
@@ -207,41 +225,48 @@ class ChainingHashTable:
         uniq, inverse = np.unique(keys, return_inverse=True)
         slots = self.lookup_many(uniq)
         missing = slots == -1
-        n_new = int(missing.sum())
-        if n_new:
-            needed = self.size + n_new
-            if needed > self.keys.shape[0]:
-                cap = self.keys.shape[0]
-                while cap < needed:
-                    cap *= 2
-                self.keys = np.resize(self.keys, cap)
-                self.nxt = np.resize(self.nxt, cap)
-            mkeys = uniq[missing]
-            new_slots = np.arange(
-                self.size, self.size + n_new, dtype=INDEX_DTYPE
-            )
-            self.keys[new_slots] = mkeys
-            buckets = _hash_keys(mkeys, self.num_buckets)
-            # Keys landing in the same bucket must chain to each other:
-            # sort by bucket, link each entry to its predecessor in the
-            # group, splice group heads/tails into the existing chains.
-            order = np.argsort(buckets, kind="stable")
-            b_sorted = buckets[order]
-            s_sorted = new_slots[order]
-            starts = np.flatnonzero(
-                np.concatenate(([True], b_sorted[1:] != b_sorted[:-1]))
-            )
-            is_start = np.zeros(n_new, dtype=bool)
-            is_start[starts] = True
-            self.nxt[s_sorted[starts]] = self.heads[b_sorted[starts]]
-            rest = np.flatnonzero(~is_start)
-            if rest.size:
-                self.nxt[s_sorted[rest]] = s_sorted[rest - 1]
-            ends = np.concatenate((starts[1:], [n_new])) - 1
-            self.heads[b_sorted[starts]] = s_sorted[ends]
-            self.size += n_new
-            slots[missing] = new_slots
+        if missing.any():
+            slots[missing] = self._append(uniq[missing])
         return slots[inverse]
+
+    def _append(self, keys: np.ndarray) -> np.ndarray:
+        """Store *keys* (absent and distinct) in new slots; returns them.
+
+        Each key is pushed onto the front of its bucket's chain in slot
+        order, exactly as a run of scalar :meth:`insert` calls would do.
+        The slots are grouped by bucket with a linear-time radix pass,
+        each one is linked to its predecessor in the group, and the
+        groups are spliced into the existing chains.
+        """
+        n_new = int(keys.shape[0])
+        if n_new == 0:
+            return np.empty(0, dtype=INDEX_DTYPE)
+        needed = self.size + n_new
+        if needed > self.keys.shape[0]:
+            cap = self.keys.shape[0]
+            while cap < needed:
+                cap *= 2
+            self.keys = np.resize(self.keys, cap)
+            self.nxt = np.resize(self.nxt, cap)
+        new_slots = np.arange(self.size, needed, dtype=INDEX_DTYPE)
+        self.keys[self.size:needed] = keys
+        buckets = _hash_keys(keys, self.num_buckets)
+        order = _bucket_order(buckets, self.num_buckets)
+        b_sorted = buckets[order]
+        s_sorted = new_slots[order]
+        starts = np.flatnonzero(
+            np.concatenate(([True], b_sorted[1:] != b_sorted[:-1]))
+        )
+        is_start = np.zeros(n_new, dtype=bool)
+        is_start[starts] = True
+        self.nxt[s_sorted[starts]] = self.heads[b_sorted[starts]]
+        rest = np.flatnonzero(~is_start)
+        if rest.size:
+            self.nxt[s_sorted[rest]] = s_sorted[rest - 1]
+        ends = np.concatenate((starts[1:], [n_new])) - 1
+        self.heads[b_sorted[starts]] = s_sorted[ends]
+        self.size = needed
+        return new_slots
 
     def lookup_many(self, keys: np.ndarray) -> np.ndarray:
         """Vectorized lookup; -1 where a key is absent.

@@ -223,10 +223,15 @@ class HashTensor:
         num_buckets: Optional[int] = None,
         source_fingerprint: Optional[str] = None,
     ) -> "HashTensor":
-        """Build HtY from a COO tensor in O(nnz_Y) (no sort of Y needed).
+        """Build HtY from a COO tensor.
 
         The COO-to-hashtable conversion replaces the permutation+sort of Y
-        in Algorithm 1 ("O(nnz_Y) versus O(nnz_Y log nnz_Y)").
+        in Algorithm 1, which the paper costs as "O(nnz_Y) versus
+        O(nnz_Y log nnz_Y)". Here it runs one stable argsort of Y's LN
+        contract keys, to store each group's rows contiguously, and then
+        links the hash chains in linear time (see
+        :meth:`ChainingHashTable.merge_partials`). Y's index tuples are
+        never sorted.
 
         ``source_fingerprint`` stamps the build with the content digest of
         *tensor* (pass the already-computed digest to avoid rehashing);
@@ -278,10 +283,11 @@ class HashTensor:
         the concatenated per-partial group keys orders groups by
         ``(key, partial)``, which — because each partial preserves original
         row order within its groups — reproduces the exact row order a
-        serial :meth:`from_coo` build produces. The hash chains are built
-        by inserting the merged key set into an empty table, the same
-        splice a serial build performs, so ``heads``/``keys``/``nxt`` and
-        all downstream probe counts are bit-identical to the serial path.
+        serial :meth:`from_coo` build produces. The merged keys are sorted
+        and unique, so the hash chains are linked straight into an empty
+        table, as a serial build links them: ``heads``/``keys``/``nxt``
+        and all downstream probe counts are bit-identical to the serial
+        path.
         """
         free_dims = tuple(int(d) for d in free_dims)
         contract_dims = tuple(int(d) for d in contract_dims)

@@ -7,7 +7,8 @@ of HiParTI.
 
 Mode permutation is a cheap column reordering (the paper: "to exchange
 modes i1 and i2, we only need to switch the pointers of their indices");
-sorting is a lexicographic quicksort over the (possibly permuted) modes.
+sorting is lexicographic over the (possibly permuted) modes, done as one
+stable sort of each row's packed LN key over those modes.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from typing import Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.errors import ShapeError
+from repro.errors import LinearizationOverflowError, ShapeError
+from repro.tensor.linearize import linearize
 from repro.types import INDEX_DTYPE, VALUE_DTYPE, Shape
 from repro.utils.validation import check_modes, check_shape
 
@@ -240,17 +242,33 @@ class SparseTensor:
         """Lexicographically sort non-zeros (§3.1's quicksort).
 
         Sorts by mode 0, then mode 1, ... by default; *mode_order* sorts by
-        the given modes first (without permuting the tensor).
+        the given modes first (without permuting the tensor). Ties keep
+        their storage order. One stable argsort of the packed LN key does
+        the work; ``np.lexsort`` over the mode columns takes over when the
+        modes' extents multiply past int64. Always returns fresh arrays.
         """
         if self.nnz == 0:
             return self.copy()
         if mode_order is None:
-            mode_order = range(self.order)
+            modes = list(range(self.order))
         else:
-            mode_order = check_modes(mode_order, self.order, "mode_order")
-        # np.lexsort sorts by the *last* key first.
-        keys = tuple(self.indices[:, m] for m in reversed(list(mode_order)))
-        perm = np.lexsort(keys)
+            modes = list(check_modes(mode_order, self.order, "mode_order"))
+        cols = (
+            self.indices
+            if modes == list(range(self.order))
+            else self.indices[:, modes]
+        )
+        try:
+            # Ordering rows by this one integer is ordering them
+            # lexicographically by the modes' indices.
+            key = linearize(cols, [self.shape[m] for m in modes])
+        except LinearizationOverflowError:
+            # np.lexsort sorts by the *last* key first.
+            perm = np.lexsort(
+                tuple(self.indices[:, m] for m in reversed(modes))
+            )
+        else:
+            perm = np.argsort(key, kind="stable")
         return SparseTensor(
             self.indices[perm],
             self.values[perm],
@@ -260,7 +278,10 @@ class SparseTensor:
         )
 
     def is_sorted(self) -> bool:
-        """True when non-zeros are in lexicographic mode order."""
+        """True when non-zeros are in lexicographic mode order.
+
+        Equal neighbouring rows count as sorted.
+        """
         if self.nnz <= 1:
             return True
         prev = self.indices[:-1]

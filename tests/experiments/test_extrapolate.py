@@ -21,3 +21,21 @@ def test_nnz_recorded_per_scale():
     )
     assert rows[0].nnz_y[0] < rows[0].nnz_y[1]
     assert rows[0].paper_nnz_y > rows[0].nnz_y[-1]
+
+
+def _row(label, speedups, alpha, trend):
+    return extrapolate.ScalingRow(
+        label=label, nnz_y=[1, 2], speedups=speedups, alpha=alpha,
+        paper_nnz_y=10, trend_at_paper_scale=trend,
+    )
+
+
+def test_interpretation_follows_the_data():
+    text = extrapolate.interpretation([
+        _row("flat", [11.6, 13.4], 0.02, 13.0),
+        _row("growing", [8.4, 15.5], 0.44, 181.0),
+        _row("above", [600.0, 700.0], 0.5, 900.0),
+    ])
+    assert "flat: 13.4x measured, 13x trend (exponent 0.02): no" in text
+    assert "growing: 15.5x measured, 181x trend (exponent 0.44): yes" in text
+    assert "above: 700.0x measured, 900x trend (exponent 0.50): no" in text

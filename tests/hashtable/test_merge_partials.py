@@ -5,7 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.hashtable.chaining import ChainingHashTable, _hash_keys
+from repro.hashtable.chaining import (
+    ChainingHashTable,
+    _bucket_order,
+    _hash_keys,
+)
 from repro.hashtable.tensor_table import (
     HashTensor,
     PartialGroups,
@@ -234,4 +238,84 @@ class TestProbeCounterConsistency:
         np.testing.assert_array_equal(batch.heads, scalar.heads)
         np.testing.assert_array_equal(
             batch.keys[: batch.size], scalar.keys[: scalar.size]
+        )
+
+
+def assert_tables_equal(a: ChainingHashTable, b: ChainingHashTable) -> None:
+    assert a.num_buckets == b.num_buckets and a.size == b.size
+    np.testing.assert_array_equal(a.heads, b.heads)
+    np.testing.assert_array_equal(a.keys[: a.size], b.keys[: b.size])
+    np.testing.assert_array_equal(a.nxt[: a.size], b.nxt[: b.size])
+
+
+class TestLinearSplice:
+    """The direct-link build and the shared radix splice.
+
+    ``merge_partials`` links sorted, unique keys straight into an empty
+    table, and ``insert_many`` splices through the same code. Both must
+    leave ``heads``/``keys``/``nxt`` exactly as scalar ``insert`` calls
+    leave them, on either side of the 65,536 buckets one 16-bit radix
+    digit covers, so every later probe count matches too.
+    """
+
+    @pytest.mark.parametrize("num_buckets,n_keys", [
+        (16, 400),
+        (4_096, 6_000),
+        (65_536, 30_000),
+        (65_537, 30_000),
+        (1 << 17, 30_000),
+        (200_003, 30_000),
+    ])
+    def test_merge_partials_matches_scalar_inserts(self, num_buckets, n_keys):
+        rng = np.random.default_rng(num_buckets)
+        keys = np.sort(
+            rng.choice(1 << 40, size=n_keys, replace=False)
+        ).astype(np.int64)
+        built, merged = ChainingHashTable.merge_partials(
+            np.array_split(keys, 3), num_buckets=num_buckets
+        )
+        np.testing.assert_array_equal(merged, keys)
+        scalar = ChainingHashTable(num_buckets)
+        for k in keys.tolist():
+            scalar.insert(k)
+        assert_tables_equal(built, scalar)
+        single, _ = ChainingHashTable.merge_partials(
+            [keys], num_buckets=num_buckets
+        )
+        assert_tables_equal(single, scalar)
+        assert built.probes == 0
+        queries = np.concatenate(
+            (keys[::7], rng.integers(0, 1 << 40, 500))
+        ).astype(np.int64)
+        p_built, p_scalar = built.probes, scalar.probes
+        np.testing.assert_array_equal(
+            built.lookup_many(queries), scalar.lookup_many(queries)
+        )
+        assert built.probes - p_built == scalar.probes - p_scalar
+
+    @pytest.mark.parametrize("num_buckets", [64, 70_001])
+    def test_insert_many_into_filled_table(self, num_buckets):
+        rng = np.random.default_rng(5)
+        first = rng.integers(0, 500_000, 3_000).astype(np.int64)
+        second = rng.integers(0, 500_000, 3_000).astype(np.int64)
+        second[:500] = first[:500]  # already stored
+        batch = ChainingHashTable(num_buckets)
+        scalar = ChainingHashTable(num_buckets)
+        for chunk in (first, second):
+            slots = batch.insert_many(chunk)
+            expect = [scalar.insert(k)[0] for k in np.unique(chunk).tolist()]
+            np.testing.assert_array_equal(
+                np.unique(slots), np.sort(expect)
+            )
+            assert_tables_equal(batch, scalar)
+
+    @pytest.mark.parametrize("num_buckets", [1, 300, 1 << 16, 1 << 17,
+                                             (1 << 32) + 7, 1 << 40])
+    def test_bucket_order_is_stable_argsort(self, num_buckets):
+        rng = np.random.default_rng(num_buckets % 1000)
+        buckets = rng.integers(0, num_buckets, 5_000).astype(np.int64)
+        buckets[::3] = buckets[0]  # ties keep their input order
+        np.testing.assert_array_equal(
+            _bucket_order(buckets, num_buckets),
+            np.argsort(buckets, kind="stable"),
         )

@@ -172,14 +172,14 @@ def measure_codegen():
 
 
 def measure_planner_uracil():
-    """Small uracil-3mode: planner-auto parallel vs the serial engine.
+    """Small uracil-3mode: the ``plan="auto"`` route vs the serial engine.
 
     BENCH_PR3 showed this case at 0.81x — the parallel machinery's
-    start-up outweighed the tiny contraction. The planner-lite guard
-    must route it to the serial fused path and recover >=1.0x.
+    start-up outweighed the tiny contraction. ``contract(plan="auto")``,
+    the one routing point, must send a 4-worker parallel request to the
+    serial fused path and recover >=1.0x.
     """
     from repro.datasets import make_case
-    from repro.parallel import parallel_sparta
 
     case = make_case("uracil", 3, scale=0.2, seed=0)
 
@@ -190,25 +190,26 @@ def measure_planner_uracil():
         )
 
     def parallel():
-        return parallel_sparta(
+        return contract(
             case.x, case.y, case.cx, case.cy,
-            threads=4, planner="auto",
+            method="parallel", plan="auto", threads=4,
         )
 
     ref = serial()
     par = parallel()
     assert np.array_equal(
-        par.result.tensor.sort().values.view(np.uint64),
+        par.tensor.sort().values.view(np.uint64),
         ref.tensor.sort().values.view(np.uint64),
     )
     t_serial = _best_of_n(serial, 7)
     t_parallel = _best_of_n(parallel, 7)
+    planner = par.profile.flags.get("planner", "")
     return {
         "case": case.label,
-        "planner": par.result.profile.flags.get("planner", ""),
-        "backend": par.backend,
+        "planner": planner,
+        "backend": planner.split(":", 1)[-1],
         "est_products": int(
-            par.result.profile.counters.get("planner_est_products", 0)
+            par.profile.counters.get("planner_est_products", 0)
         ),
         "serial_seconds": t_serial,
         "parallel_seconds": t_parallel,
@@ -240,7 +241,7 @@ def test_codegen_speedup_geomean():
 
 def test_planner_restores_uracil_small_case():
     row = measure_planner_uracil()
-    assert row["planner"] == "serial_small", row
+    assert row["planner"] == "auto:serial", row
     assert row["speedup_vs_serial"] >= 1.0, (
         f"uracil-3mode planner route {row['speedup_vs_serial']:.2f}x "
         f"< 1.0x vs serial"

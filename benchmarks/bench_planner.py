@@ -85,13 +85,13 @@ def measure_workload(name, modes, *, repeats):
     def thread():
         return parallel_sparta(
             case.x, case.y, case.cx, case.cy,
-            threads=WORKERS, backend="thread", planner="off",
+            threads=WORKERS, backend="thread",
         )
 
     def process():
         return parallel_sparta(
             case.x, case.y, case.cx, case.cy,
-            threads=WORKERS, backend="process", planner="off",
+            threads=WORKERS, backend="process",
         )
 
     def planner():
@@ -128,7 +128,6 @@ def measure_workload(name, modes, *, repeats):
         fns[chosen_label] = lambda: parallel_sparta(
             case.x, case.y, case.cx, case.cy,
             threads=chosen_workers, backend=chosen_engine,
-            planner="off",
         )
     walls = _best_of_n_interleaved(fns, repeats)
     planner_wall = walls.pop("planner")

@@ -347,7 +347,7 @@ def _measure_parallel(coeff: Dict[str, float],
                 t0 = time.perf_counter()
                 parallel_sparta(
                     tiny_x, tiny_y, (2,), (0,), threads=w,
-                    backend=backend, planner="off",
+                    backend=backend,
                 )
                 return None, time.perf_counter() - t0
 
@@ -386,7 +386,7 @@ def _measure_parallel(coeff: Dict[str, float],
                 t0 = time.perf_counter()
                 parallel_sparta(
                     case.x, case.y, case.cx, case.cy,
-                    threads=workers, backend=backend, planner="off",
+                    threads=workers, backend=backend,
                 )
                 return None, time.perf_counter() - t0
 

@@ -30,7 +30,6 @@ from repro.core.symbolic import (
 )
 from repro.core.sptc_hta import sptc_coo_hta
 from repro.core.sptc_spa import sptc_spa
-from repro.core.streaming import contract_streaming, merge_outputs, split_tensor
 from repro.core.stages import (
     COMPUTATION_STAGES,
     IO_PROCESSING_STAGES,
@@ -62,14 +61,11 @@ __all__ = [
     "SequenceResult",
     "contract",
     "default_hty_cache",
-    "contract_streaming",
     "einsum",
     "dense_contract",
     "engines",
     "sparta",
     "sptc_coo_hta",
-    "split_tensor",
-    "merge_outputs",
     "sptc_spa",
     "symbolic_count",
     "two_phase_contract",

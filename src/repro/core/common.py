@@ -79,6 +79,62 @@ class PreparedX:
         """N_F, the outer-loop trip count."""
         return int(self.ptr.shape[0] - 1)
 
+    @property
+    def nbytes(self) -> int:
+        """Bytes held by the four prepared arrays."""
+        return int(
+            self.ptr.nbytes + self.fx_rows.nbytes + self.cx_ln.nbytes
+            + self.values.nbytes
+        )
+
+
+def partition_subtensors(
+    ptr: np.ndarray,
+    num_workers: int,
+    *,
+    weights: np.ndarray | None = None,
+) -> List[Tuple[int, int]]:
+    """Split sub-tensors ``0..len(ptr)-2`` into ≤ *num_workers* ranges.
+
+    ``ptr`` is the fiber-pointer array: sub-tensor *f* holds
+    ``ptr[f+1] - ptr[f]`` non-zeros. Ranges are contiguous (preserving the
+    sorted-X locality) and balanced to ~equal non-zero counts. Returns
+    ``(first_subtensor, last_subtensor_exclusive)`` pairs; fewer than
+    *num_workers* ranges when there are fewer sub-tensors.
+
+    *weights* replaces the per-sub-tensor cost model: when given (one
+    non-negative weight per sub-tensor), ranges balance cumulative weight
+    instead of cumulative nnz. ``weights=None`` is exactly the nnz
+    behaviour.
+    """
+    if num_workers <= 0:
+        raise ShapeError(f"num_workers must be positive, got {num_workers}")
+    n_sub = int(ptr.shape[0] - 1)
+    if n_sub <= 0:
+        return []
+    if weights is not None:
+        weights = np.asarray(weights, dtype=np.int64)
+        if weights.shape != (n_sub,):
+            raise ShapeError(
+                f"weights must have one entry per sub-tensor "
+                f"({n_sub}), got shape {weights.shape}"
+            )
+        ptr = np.concatenate(([0], np.cumsum(weights)))
+    total = int(ptr[-1] - ptr[0])
+    num_workers = min(num_workers, n_sub)
+    if num_workers == 1 or total == 0:
+        return [(0, n_sub)]
+    # Cut at sub-tensor boundaries closest to equal cumulative-weight
+    # shares (nnz shares by default).
+    targets = (np.arange(1, num_workers) * total) // num_workers
+    cuts = np.searchsorted(ptr[1:], ptr[0] + targets, side="left") + 1
+    bounds = np.unique(np.concatenate(([0], cuts, [n_sub])))
+    return [
+        (int(bounds[i]), int(bounds[i + 1]))
+        for i in range(bounds.shape[0] - 1)
+        if bounds[i + 1] > bounds[i]
+    ]
+
 
 def prepare_x(
     x: SparseTensor,
@@ -303,10 +359,8 @@ def assemble_output(
     locals_: List[LocalOutput],
     plan: ContractionPlan,
     profile: RunProfile,
-    *,
-    sort_output: bool,
 ) -> SparseTensor:
-    """Stages 4-5 tail: gather Z_locals into Z, then sort (stage 5).
+    """Stage 4 tail: gather Z_locals into Z.
 
     Mirrors Algorithm 2 line 17: sizes are known only after the locals are
     complete, then all locals are copied out in one pass.
@@ -339,15 +393,4 @@ def assemble_output(
         DataObject.Z, Stage.WRITEBACK, AccessKind.WRITE,
         AccessPattern.SEQUENTIAL, total * rowb,
     )
-    if sort_output:
-        z = z.sort()
-        sort_bytes = int(total * rowb * _sort_passes(total))
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.READ,
-            AccessPattern.RANDOM, sort_bytes,
-        )
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.WRITE,
-            AccessPattern.RANDOM, sort_bytes,
-        )
     return z

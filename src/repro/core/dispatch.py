@@ -132,12 +132,6 @@ def _contract_auto(
         if memory_budget is not None:
             from repro.ooc.engine import ooc_contract
 
-            if kwargs.pop("hty_cache", None) is not None:
-                raise ContractionError(
-                    "memory_budget is incompatible with the HtY cache "
-                    "on the serial engine; drop use_hty_cache or the "
-                    "budget"
-                )
             res = ooc_contract(
                 x, y, cx, cy,
                 memory_budget=memory_budget,
@@ -165,7 +159,6 @@ def _contract_auto(
             parallel_stage1=chosen.parallel_stage1,
             merge_output=chosen.merge_output,
             sort_output=sort_output,
-            planner="off",
             tracer=tracer,
             memory_budget=memory_budget,
             spill_root=spill_root,
@@ -240,7 +233,8 @@ def contract(
         chunks spill to mmap-readable run files and stage 5 becomes a
         streaming merge over them (:mod:`repro.ooc`). Results and
         Table-2 traffic stay byte-identical either way. Sparta-family
-        methods only. ``None`` (default) never spills.
+        methods only; combines with the HtY cache, whose HtY is then
+        charged to the budget. ``None`` (default) never spills.
     spill_root:
         Directory for the run files of a spilling contraction (default
         the system temp dir). Created per run, removed on completion.
@@ -269,17 +263,21 @@ def contract(
         raise ContractionError(
             f"unknown method {method!r}; choose from {sorted(_ENGINES)}"
         ) from None
-    if memory_budget is not None:
-        if method == "sparta":
-            if use_hty_cache or kwargs.get("hty_cache") is not None:
-                raise ContractionError(
-                    "memory_budget is incompatible with the HtY cache on "
-                    "the serial engine (cached builds bypass budget "
-                    "accounting); drop use_hty_cache or the budget"
-                )
+    if method not in ("sparta", "parallel"):
+        if memory_budget is not None or use_hty_cache:
+            what = ("memory_budget" if memory_budget is not None
+                    else "use_hty_cache")
+            raise ContractionError(
+                f"{what} is only supported by the sparta-family "
+                f"engines ('sparta', 'parallel'), not {method!r}"
+            )
+    elif use_hty_cache:
+        kwargs.setdefault("hty_cache", default_hty_cache())
+    if method == "sparta":
+        kwargs.setdefault("swap_larger_to_y", True)
+        if memory_budget is not None:
             from repro.ooc.engine import ooc_contract
 
-            kwargs.setdefault("swap_larger_to_y", True)
             return ooc_contract(
                 x, y, cx, cy,
                 memory_budget=memory_budget,
@@ -288,23 +286,9 @@ def contract(
                 tracer=tracer,
                 **kwargs,
             )
-        if method != "parallel":
-            raise ContractionError(
-                f"memory_budget is only supported by the sparta-family "
-                f"engines ('sparta', 'parallel'), not {method!r}"
-            )
+    elif memory_budget is not None:
         kwargs["memory_budget"] = memory_budget
         kwargs["spill_root"] = spill_root
-    if method == "sparta":
-        kwargs.setdefault("swap_larger_to_y", True)
-    if method in ("sparta", "parallel"):
-        if use_hty_cache:
-            kwargs.setdefault("hty_cache", default_hty_cache())
-    elif use_hty_cache:
-        raise ContractionError(
-            f"use_hty_cache is only supported by the sparta-family "
-            f"engines ('sparta', 'parallel'), not {method!r}"
-        )
     if tracer is not None:
         if method in _TRACED_ENGINES:
             kwargs["tracer"] = tracer

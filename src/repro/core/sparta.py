@@ -21,11 +21,10 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.core.htycache import HtYCache, cached_plan
+from repro.core.htycache import HtYCache
 from repro.core.looped import Granularity, looped_contract
 from repro.core.result import ContractionResult
-from repro.core.stages import Stage
-from repro.obs.tracer import NULL_TRACER, Tracer
+from repro.obs.tracer import Tracer
 from repro.tensor.coo import SparseTensor
 
 ENGINE_NAME = "sparta"
@@ -69,36 +68,6 @@ def sparta(
         way, only wall time changes. ``REPRO_NO_CODEGEN=1`` force-
         disables the generated kernels process-wide.
     """
-    if swap_larger_to_y and x.nnz > y.nnz:
-        plan = cached_plan(x, y, cx, cy)
-        res = looped_contract(
-            y,
-            x,
-            cy,
-            cx,
-            engine_name=ENGINE_NAME,
-            y_structure="hash",
-            accumulator="hash",
-            sort_output=False,
-            num_buckets=num_buckets,
-            accumulator_buckets=accumulator_buckets,
-            granularity=granularity,
-            x_format=x_format,
-            hty_cache=hty_cache,
-            codegen=codegen,
-            dense_threshold=dense_threshold,
-            workspace_cap=workspace_cap,
-            tracer=tracer,
-        )
-        tr = NULL_TRACER if tracer is None else tracer
-        with tr.span(Stage.OUTPUT_SORTING.value, swapped=True):
-            z = res.tensor.permute(plan.swap_output_permutation())
-            if sort_output:
-                z = z.sort()
-        res.tensor = z
-        res.plan = plan
-        res.profile.counters["swapped_operands"] = 1
-        return res
     return looped_contract(
         x,
         y,
@@ -117,4 +86,5 @@ def sparta(
         dense_threshold=dense_threshold,
         workspace_cap=workspace_cap,
         tracer=tracer,
+        swap_larger_to_y=swap_larger_to_y,
     )

@@ -11,7 +11,7 @@ eating fast-tier capacity across requests. Four managements compete:
   request (one mapping for all five stages);
 * **ial** — the reactive hotness comparator with migration lag;
 * **dynamic:**\\ *policy* — the :class:`~repro.memory.migration.
-  MigrationEngine` (lookahead | ewma | inclusive | hybrid), which
+  MigrationEngine` (lookahead | ewma), which
   time-multiplexes DRAM across stage boundaries with explicit,
   overlap-timed migrations.
 

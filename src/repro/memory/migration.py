@@ -18,22 +18,17 @@ forecast from the planner's :class:`~repro.planner.cost_model.CostModel`
 statistics) and emits strict
 :class:`~repro.memory.simulator.PlacementSchedule` objects with explicit
 :class:`~repro.memory.simulator.Migration` entries at stage boundaries.
-Four policies (the design space of the Data_Placement_Optimization
-simulator lineage — look-ahead vs. past-window scoring, inclusive vs.
-exclusive fast-tier caching):
+Two policies (the look-ahead vs. past-window scoring axis of the
+Data_Placement_Optimization simulator lineage), both with an exclusive
+fast tier:
 
 * ``lookahead`` — score objects by the PMM penalty the *upcoming*
   stages would pay (geometric discount per stage of distance), promote
-  the densest, demote what has no future; exclusive caching.
+  the densest, demote what has no future.
 * ``ewma`` — past-window scoring: an exponentially weighted moving
   average of observed penalty density, updated after every stage and
   carried across requests (the cross-request learning a reactive
   runtime would do); demotes objects whose EWMA went cold mid-run.
-* ``inclusive`` — lookahead scoring with an inclusive fast tier: a
-  promoted object keeps its slow-tier master copy, so demoting it while
-  still *clean* (no writes since promotion) is free — the copy is
-  dropped, not written back.
-* ``hybrid`` — blended lookahead + EWMA score with inclusive caching.
 
 Allocation-time placement is free: an object's *first* placement (the
 stage its traffic first appears) is where it is malloc'd, so only
@@ -83,7 +78,7 @@ __all__ = [
 
 #: the dynamic policies the engine implements (``ttt --placement
 #: dynamic:<policy>`` accepts exactly these names)
-DYNAMIC_POLICIES = ("lookahead", "ewma", "inclusive", "hybrid")
+DYNAMIC_POLICIES = ("lookahead", "ewma")
 
 #: geometric discount per stage of look-ahead distance
 LOOKAHEAD_DISCOUNT = 0.5
@@ -215,19 +210,16 @@ class _ObjectState:
 
     location: str = PMM
     materialized: bool = False
-    #: a valid master copy exists in the slow tier (inclusive caching)
-    slow_copy: bool = True
 
 
 class MigrationEngine:
     """Emit per-stage placement schedules with explicit migrations.
 
     One engine instance serves a stream of runs: per-request state
-    (object locations, dirtiness) resets in :meth:`schedule_run`, while
-    the EWMA hotness profile persists across requests — feed it the
-    server's completed-request profiles via :meth:`observe` /
-    :meth:`consume` and the ``ewma``/``hybrid`` policies learn the
-    workload mix.
+    (object locations) resets in :meth:`schedule_run`, while the EWMA
+    hotness profile persists across requests — feed it the server's
+    completed-request profiles via :meth:`observe` / :meth:`consume`
+    and the ``ewma`` policy learns the workload mix.
     """
 
     def __init__(
@@ -251,7 +243,6 @@ class MigrationEngine:
             )
         self.hm = hm
         self.policy = policy
-        self.inclusive = policy in ("inclusive", "hybrid")
         self.lookahead_stages = int(lookahead_stages)
         self.ewma_alpha = float(ewma_alpha)
         #: benefit-density EWMA (seconds saved per byte per epoch)
@@ -267,7 +258,6 @@ class MigrationEngine:
             "observed_profiles": 0,
             "promotions": 0,
             "demotions": 0,
-            "free_demotions": 0,
             "freed": 0,
             "promoted_bytes": 0,
             "demoted_bytes": 0,
@@ -339,18 +329,11 @@ class MigrationEngine:
             weight = LOOKAHEAD_DISCOUNT ** (j - stage_index)
             for obj, sec in benefit.get(STAGE_ORDER[j], {}).items():
                 look[obj] = look.get(obj, 0.0) + weight * sec
-        if self.policy in ("lookahead", "inclusive"):
+        if self.policy == "lookahead":
             return look
-        past = {
+        return {
             obj: self._ewma.get(obj, 0.0) * sizes.get(obj, 0)
             for obj in DataObject
-        }
-        if self.policy == "ewma":
-            return past
-        # hybrid: trust the forecast, hedged by learned history
-        return {
-            obj: 0.5 * look.get(obj, 0.0) + 0.5 * past.get(obj, 0.0)
-            for obj in set(look) | set(past)
         }
 
     def schedule_run(
@@ -385,7 +368,6 @@ class MigrationEngine:
         )
         first_touch: Dict[DataObject, Stage] = {}
         last_touch: Dict[DataObject, int] = {}
-        dirty_stages: Dict[DataObject, set] = {}
         for rec in profile.traffic:
             idx = STAGE_ORDER.index(rec.stage)
             if (
@@ -394,8 +376,6 @@ class MigrationEngine:
             ):
                 first_touch[rec.obj] = rec.stage
             last_touch[rec.obj] = max(last_touch.get(rec.obj, 0), idx)
-            if rec.kind is AccessKind.WRITE:
-                dirty_stages.setdefault(rec.obj, set()).add(rec.stage)
 
         state = {obj: _ObjectState() for obj in DataObject}
         for obj in _PREMATERIALIZED:
@@ -482,8 +462,6 @@ class MigrationEngine:
                         # the pipeline is done with this object — its
                         # pages are freed, not written back
                         self.counters["freed"] += 1
-                    elif self.inclusive and st.slow_copy:
-                        self.counters["free_demotions"] += 1
                     else:
                         migrations.append(
                             Migration(
@@ -493,7 +471,6 @@ class MigrationEngine:
                         self.counters["demotions"] += 1
                         self.counters["demoted_bytes"] += sizes[obj]
                     st.location = PMM
-                    st.slow_copy = True
             for obj in DataObject:
                 st = state[obj]
                 if target[obj] != DRAM or st.location == DRAM:
@@ -504,24 +481,10 @@ class MigrationEngine:
                     )
                     self.counters["promotions"] += 1
                     self.counters["promoted_bytes"] += sizes[obj]
-                    # the slow master copy survives a promotion only
-                    # under inclusive caching
-                    st.slow_copy = self.inclusive
-                else:
-                    # allocation-time placement: born in DRAM, no slow
-                    # copy to fall back on
-                    st.slow_copy = False
                 st.location = DRAM
             for obj in active:
-                st = state[obj]
-                if not st.materialized and first_touch.get(obj) == stage:
-                    st.materialized = True
-                    if st.location == PMM:
-                        st.slow_copy = True
-                if st.location == DRAM and stage in dirty_stages.get(
-                    obj, ()
-                ):
-                    st.slow_copy = False
+                if first_touch.get(obj) == stage:
+                    state[obj].materialized = True
             per_stage[stage] = {
                 obj: state[obj].location for obj in DataObject
             }
@@ -538,9 +501,6 @@ class MigrationEngine:
     ) -> None:
         """Export engine counters as ``memory.migration.*`` metrics."""
         registry.set(f"{prefix}.policy", self.policy)
-        registry.set(
-            f"{prefix}.inclusive", int(self.inclusive)
-        )
         for name, value in self.counters.items():
             registry.set(f"{prefix}.{name}", int(value))
 

@@ -36,12 +36,10 @@ Naming scheme (all lowercase, dot-separated)::
     memory.peak_rss                             sampled peak RSS (bytes)
     memory.rss_samples                          sample count behind it
     memory.migration.policy                     dynamic policy name (str)
-    memory.migration.inclusive                  1 if fast tier is inclusive
     memory.migration.{runs,epochs}              schedules built, stages seen
     memory.migration.observed_profiles          cross-request feed absorbed
     memory.migration.{promotions,demotions}     paid tier moves
     memory.migration.{promoted,demoted}_bytes   bytes behind those moves
-    memory.migration.free_demotions             clean inclusive drop-backs
     memory.migration.freed                      dead-object deallocations
     serve.<tenant>.{requests,completed,failed}  per-tenant request counts
     serve.<tenant>.{rejected,retries,degraded}  backpressure + recovery
@@ -247,8 +245,8 @@ class MetricsRegistry:
 
         *engine* needs ``fold_metrics(registry, prefix=...)`` — the
         shape :class:`repro.memory.migration.MigrationEngine` provides
-        (``policy``, ``inclusive`` and the promotion/demotion counter
-        dict land under ``memory.migration.*``). Duck typing keeps
+        (``policy`` and the promotion/demotion counter dict land under
+        ``memory.migration.*``). Duck typing keeps
         :mod:`repro.obs` importable without the memory layer.
         """
         engine.fold_metrics(self, prefix=prefix)

@@ -7,8 +7,7 @@ memory; this package makes that real rather than simulated. The pieces:
   accounting against a user cap (``contract(memory_budget=...)``,
   ``ttt --memory-budget``);
 * :mod:`~repro.ooc.runfile` — the mmap-readable spill format (header +
-  packed key/value arrays) shared by fused-chunk runs, HtY partials and
-  the per-worker spill files of the process backend;
+  packed key/value arrays) shared by fused-chunk runs and HtY partials;
 * :class:`SpillManager` — spill-directory lifecycle + byte accounting;
 * :func:`stream_merge_fused` — the streaming stage-5 k-way merge;
 * :func:`ooc_contract` — the budget-capped serial engine, byte-exact
@@ -18,26 +17,17 @@ memory; this package makes that real rather than simulated. The pieces:
 from repro.ooc.budget import MemoryBudget, parse_budget
 from repro.ooc.engine import ooc_contract, stream_finalize
 from repro.ooc.merge import DEFAULT_BLOCK_ROWS, stream_merge_fused
-from repro.ooc.runfile import (
-    FusedRunRef,
-    RunFileReader,
-    RunFileWriter,
-    load_fused_ref,
-    spill_fused_range,
-)
+from repro.ooc.runfile import RunFileReader, RunFileWriter
 from repro.ooc.spill import SpillManager
 
 __all__ = [
     "DEFAULT_BLOCK_ROWS",
-    "FusedRunRef",
     "MemoryBudget",
     "RunFileReader",
     "RunFileWriter",
     "SpillManager",
-    "load_fused_ref",
     "ooc_contract",
     "parse_budget",
-    "spill_fused_range",
     "stream_finalize",
     "stream_merge_fused",
 ]

@@ -1,20 +1,26 @@
-"""Budget-capped out-of-core Sparta: the streaming five-stage pipeline.
+"""Budget-capped out-of-core Sparta: the spill sink of the pipeline.
 
-:func:`ooc_contract` is the serial fused engine re-plumbed so no stage
-ever holds the full working set:
+:func:`ooc_contract` runs the five-stage driver
+(:func:`repro.core.looped.looped_contract`) with a sink chosen by the
+memory budget. :func:`budget_sink` asks
+:func:`~repro.planner.ooc.plan_ooc` whether the working set fits: if
+it does, the run keeps its output in memory and only charges X and HtY
+to the budget (``flags["ooc"] = "in_core"``); if not, a
+:class:`SpillSink` makes sure no stage ever holds the full working set
+(``flags["ooc"] = "spill"``):
 
-* **stage 1** — X is prepared as usual (its footprint is charged to the
+* **stage 1** — X is prepared as usual (the driver charges it to the
   budget); HtY is built *partition-by-partition*: each Y span's partial
   grouping is spilled to a run file as soon as it is built, then the
-  partials are merged straight off their memory maps (the merge is the
-  PR 3 ``merge_partials``, bit-identical to a serial ``from_coo``), and
-  the merged table's bulk payload arrays (``free_ln``/``values``) are
+  partials are merged straight off their memory maps (the merge is
+  ``merge_partials``, bit-identical to a serial ``from_coo``), and the
+  merged table's bulk payload arrays (``free_ln``/``values``) are
   demoted back to disk and re-mapped read-only — only the hash chains,
   group pointers and X stay resident;
-* **stages 2–4** — the sub-tensor loop runs in budget-sized chunks
+* **stages 2–4** — the sub-tensor loop runs in budget-sized ranges
   through the unmodified :func:`~repro.core.kernels.fused_compute`;
-  each chunk's sorted ``(fgrp, fy, vals)`` output is appended to a spill
-  run and dropped from memory;
+  each range's sorted ``(fgrp, fy, vals)`` output is appended to a
+  spill run and dropped from memory;
 * **stage 5** — a streaming k-way merge over the mmapped runs
   (:func:`~repro.ooc.merge.stream_merge_fused`) assembles and writes
   the final COO arrays *incrementally* to two raw files, which are then
@@ -22,36 +28,26 @@ ever holds the full working set:
   the spill directory is removed without orphans, and the full
   accumulator is never materialized.
 
-Chunks cover disjoint ascending sub-tensor ranges, so the concatenation
-of the per-chunk outputs is exactly the serial fused output (the same
-argument the parallel executor's gather rests on), all probe/product
+Ranges cover disjoint ascending sub-tensor spans, so the concatenation
+of their outputs is exactly the serial fused output, all probe/product
 counters sum to the serial totals, and every Table-2 traffic cell is
-charged through the identical shared helpers with identical totals —
-results and traffic are byte-exact against the in-core engines.
-
-When :func:`~repro.planner.ooc.plan_ooc` estimates the working set fits
-the budget (and ``force_spill`` is off), the call routes to the in-core
-:func:`~repro.core.looped.looped_contract` unchanged — budgeted
-execution costs nothing when spilling would not help.
+charged by the same driver — results and traffic are byte-exact
+against the in-core engines, with any executor.
 """
 
 from __future__ import annotations
 
 import os
+import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.common import _sort_passes, coo_row_bytes, prepare_x
-from repro.core.htycache import cached_plan
-from repro.core.kernels import (
-    fused_compute,
-    hta_model_nbytes,
-    record_computation_traffic,
-    record_hty_build,
-)
-from repro.core.looped import looped_contract
+from repro.core.common import coo_row_bytes, prepare_x
+from repro.core.htycache import HtYCache, cached_plan
+from repro.core.kernels import fused_compute
+from repro.core.looped import MemorySink, looped_contract, oriented_operands
 from repro.core.profile import (
     AccessKind,
     AccessPattern,
@@ -59,21 +55,17 @@ from repro.core.profile import (
     RunProfile,
 )
 from repro.core.result import ContractionResult
-from repro.core.stages import Stage
 from repro.hashtable.tensor_table import (
     HashTensor,
     PartialGroups,
     build_partial_groups,
     split_contract_modes,
 )
-from repro.obs.tracer import (
-    CAT_CONTRACTION,
-    CAT_SPILL,
-    NULL_TRACER,
-    Tracer,
-)
+from repro.obs.tracer import CAT_SPILL, NULL_TRACER, Tracer
+from repro.parallel.partition import even_spans
 from repro.planner.ooc import OocDecision, plan_ooc
 from repro.planner.stats import contraction_stats
+from repro.core.stages import Stage
 from repro.tensor.coo import SparseTensor
 from repro.tensor.linearize import delinearize
 from repro.types import INDEX_DTYPE, VALUE_DTYPE
@@ -83,7 +75,7 @@ from .merge import DEFAULT_BLOCK_ROWS, stream_merge_fused
 from .runfile import RunFileReader
 from .spill import SpillManager
 
-__all__ = ["ooc_contract", "stream_finalize"]
+__all__ = ["SpillSink", "budget_sink", "ooc_contract", "stream_finalize"]
 
 ENGINE_NAME = "sparta"
 
@@ -95,23 +87,6 @@ def _fy_span(fy_dims: Sequence[int]) -> int:
     return max(span, 1)
 
 
-def _even_spans(n: int, k: int) -> List[Tuple[int, int]]:
-    k = max(min(int(k), int(n)), 1)
-    bounds = [(i * n) // k for i in range(k + 1)]
-    return [
-        (bounds[i], bounds[i + 1])
-        for i in range(k)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
-def _px_nbytes(px) -> int:
-    return int(
-        px.ptr.nbytes + px.fx_rows.nbytes + px.cx_ln.nbytes
-        + px.values.nbytes
-    )
-
-
 def _build_hty_spilled(
     y: SparseTensor,
     cy: Sequence[int],
@@ -120,7 +95,7 @@ def _build_hty_spilled(
     budget: MemoryBudget,
     num_buckets: Optional[int],
     tr: Tracer,
-    clock,
+    clock=time.perf_counter,
 ) -> HashTensor:
     """Stage 1 for Y: spill per-span partials, merge from their maps.
 
@@ -136,7 +111,7 @@ def _build_hty_spilled(
     )
     t0 = clock()
     writer = spill.writer("hty_partials.runs")
-    for lo, hi in _even_spans(y.nnz, decision.num_y_spans):
+    for lo, hi in even_spans(y.nnz, decision.num_y_spans):
         pg = build_partial_groups(
             y.indices, y.values, cmodes, fmodes, cdims, fdims, lo, hi
         )
@@ -174,19 +149,19 @@ def _build_hty_spilled(
         partials, fdims, cdims, num_buckets=num_buckets
     )
     reader.close()
-    budget.charge("hty", hty.nbytes)
-    # Demote the payload bulk to disk; lookups stay O(1) in RAM.
     payload_bytes = int(hty.free_ln.nbytes + hty.values.nbytes)
-    if payload_bytes:
-        pw = spill.writer("hty_payload.run")
-        pw.append_run({"free_ln": hty.free_ln, "values": hty.values})
-        pw.close()
-        spill.account(pw)
-        pr = RunFileReader(pw.path)
-        arrs = pr.run(0)
-        hty.free_ln = arrs["free_ln"]
-        hty.values = arrs["values"]
-        budget.release("hty", payload_bytes)
+    # The merged table is whole in memory until its payload is demoted;
+    # the driver then charges what stays resident.
+    with budget.hold("hty", hty.nbytes):
+        if payload_bytes:
+            # Demote the payload bulk to disk; lookups stay O(1) in RAM.
+            pw = spill.writer("hty_payload.run")
+            pw.append_run({"free_ln": hty.free_ln, "values": hty.values})
+            pw.close()
+            spill.account(pw)
+            arrs = RunFileReader(pw.path).run(0)
+            hty.free_ln = arrs["free_ln"]
+            hty.values = arrs["values"]
     return hty
 
 
@@ -197,13 +172,12 @@ def stream_finalize(
     profile: RunProfile,
     spill: SpillManager,
     *,
-    sort_output: bool,
     clock=time.perf_counter,
     tracer: Optional[Tracer] = None,
     zlocal_peak_bytes: Optional[int] = None,
     block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> SparseTensor:
-    """Stages 4–5 as a streaming merge-assemble-append over sorted runs.
+    """Stage 4 as a streaming merge-assemble-append over sorted runs.
 
     Byte-identical replacement for ``merge_fused_runs`` +
     ``assemble_fused`` + ``z.sort()``: merged blocks are assembled to
@@ -211,10 +185,10 @@ def stream_finalize(
     and appended to two raw files, which are mapped back and unlinked —
     the returned tensor owns the last references to their inodes, so
     the spill directory cleanup leaves nothing behind. Charges exactly
-    the traffic `assemble_fused` and the stage-5 sort charge, with
+    the writeback traffic ``assemble_fused`` charges, with
     ``zlocal_peak_bytes`` overriding the Z_local object size for
-    callers whose locals are per-worker (the parallel executor), as in
-    ``assemble_fused``.
+    callers whose locals are per-worker, as in ``assemble_fused``. The
+    merge leaves Z sorted; the driver charges stage 5.
     """
     tr = NULL_TRACER if tracer is None else tracer
     nfx = len(plan.fx)
@@ -245,10 +219,9 @@ def stream_finalize(
                 ).cast("B")
             )
             total += n
-    t1 = clock()
     spill.spilled_bytes += total * (8 * out_order + 8)
     tr.add_span(
-        "stream_merge", start=t0, end=t1, cat=CAT_SPILL,
+        "stream_merge", start=t0, end=clock(), cat=CAT_SPILL,
         rows=int(total), runs=len(runs),
     )
     if total:
@@ -290,24 +263,125 @@ def stream_finalize(
         DataObject.Z, Stage.WRITEBACK, AccessKind.WRITE,
         AccessPattern.SEQUENTIAL, total * rowb,
     )
-    profile.add_time(Stage.WRITEBACK, t1 - t0)
-    tr.add_span(Stage.WRITEBACK.value, start=t0, end=t1,
-                measured="streamed")
-    if sort_output:
-        # The streaming merge *is* the stage-5 sort; charge the sort's
-        # access signature so Table-2 cells stay byte-exact with the
-        # in-core engines (same rule as the executor's merge path).
-        passes = _sort_passes(total)
-        profile.add_time(Stage.OUTPUT_SORTING, 0.0)
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.READ,
-            AccessPattern.RANDOM, int(total * rowb * passes),
-        )
-        profile.record_traffic(
-            DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.WRITE,
-            AccessPattern.RANDOM, int(total * rowb * passes),
-        )
     return z
+
+
+class SpillSink:
+    """Holds each range's output as a spilled run under a memory budget.
+
+    Its steps are the ones a budget changes (see the module docstring).
+    Ranges may arrive from worker threads, in any order; the lock
+    serializes the writer and the budget accounting.
+    """
+
+    streams = True
+    span_args = {"ooc": "spill"}
+
+    def __init__(
+        self,
+        budget: MemoryBudget,
+        decision: OocDecision,
+        spill_root: Optional[str] = None,
+    ) -> None:
+        self.budget = budget
+        self.decision = decision
+        self.min_ranges = decision.num_chunks
+        self.spill = SpillManager(spill_root)
+        self._writer = self.spill.writer("fused.runs")
+        #: range index -> run index in the writer's file
+        self._run_of: Dict[int, int] = {}
+        self._lock = threading.Lock()
+
+    def prepare_x(self, x, plan, profile, x_format="coo"):
+        return prepare_x(x, plan, profile, x_format=x_format)
+
+    def build_hty(self, y, plan, num_buckets, tracer):
+        return _build_hty_spilled(
+            y, plan.cy, self.decision, self.spill, self.budget,
+            num_buckets, tracer,
+        )
+
+    def compute(self, px, source, profile, lo, hi, kernel):
+        return fused_compute(
+            px, source, profile=profile, lo=lo, hi=hi,
+            chunk_pairs=self.decision.chunk_pairs, **kernel,
+        )
+
+    def put(self, index, fr, tracer) -> None:
+        nbytes = fr.out_fgrp.nbytes + fr.out_fy.nbytes + fr.out_vals.nbytes
+        with self._lock:
+            ts = time.perf_counter()
+            with self.budget.hold("fused_chunk", nbytes):
+                self._run_of[index] = self._writer.append_run(
+                    {"fgrp": fr.out_fgrp, "fy": fr.out_fy,
+                     "vals": fr.out_vals}
+                )
+            tracer.add_span(
+                "spill_run", start=ts, end=time.perf_counter(),
+                cat=CAT_SPILL, rows=int(fr.nnz), bytes=int(nbytes),
+            )
+
+    def writeback(self, fx_rows, plan, profile, *, sort_output,
+                  zlocal_peak_bytes, codegen, tracer, clock):
+        """Stage 4 as the streaming merge of the spilled runs (in range
+        order); the merge leaves Z sorted, so stage 5 has nothing left
+        to do."""
+        self._writer.close()
+        self.spill.account(self._writer)
+        reader = RunFileReader(self._writer.path)
+        runs = [reader.run(self._run_of[i]) for i in sorted(self._run_of)]
+        z = stream_finalize(
+            runs, fx_rows, plan, profile, self.spill,
+            clock=clock, tracer=tracer, zlocal_peak_bytes=zlocal_peak_bytes,
+        )
+        reader.close()
+        if sort_output:
+            profile.bump("output_merge_stream")
+        return z, True, 0.0
+
+    def note(self, profile) -> None:
+        profile.set_flag("ooc", "spill")
+        profile.counters.update(self.decision.counters())
+        profile.counters.update(self.spill.counters())
+        profile.counters.update(self.budget.counters())
+
+    def close(self) -> None:
+        self._writer.close()
+        self.spill.close()
+
+
+def budget_sink(
+    memory_budget: Union[int, str, MemoryBudget],
+    x: SparseTensor,
+    y: SparseTensor,
+    cx: Sequence[int],
+    cy: Sequence[int],
+    *,
+    workers: int = 1,
+    force_spill: bool = False,
+    spill_root: Optional[str] = None,
+    merge=None,
+):
+    """The sink *memory_budget* asks for when contracting *x* with *y*.
+
+    A :class:`SpillSink` when :func:`~repro.planner.ooc.plan_ooc` finds
+    the working set of *workers* workers over the cap (or
+    ``force_spill``), else a budgeted ``MemorySink`` with *merge*.
+    """
+    budget = (
+        memory_budget
+        if isinstance(memory_budget, MemoryBudget)
+        else MemoryBudget(memory_budget)
+    )
+    decision = plan_ooc(
+        contraction_stats(x, y, cached_plan(x, y, cx, cy)),
+        budget.cap,
+        workers=workers,
+        force_spill=force_spill,
+    )
+    if decision.out_of_core:
+        return SpillSink(budget, decision, spill_root)
+    return MemorySink(merge=merge, budget=budget, decision=decision)
 
 
 def ooc_contract(
@@ -326,196 +400,44 @@ def ooc_contract(
     codegen: Optional[bool] = None,
     tracer: Optional[Tracer] = None,
     engine_name: str = ENGINE_NAME,
+    hty_cache: Optional[HtYCache] = None,
 ) -> ContractionResult:
     """Contract under a hard memory budget, spilling when needed.
 
     ``memory_budget`` caps the engine's live working set (bytes, or a
     ``"64M"``-style string, or a pre-built :class:`MemoryBudget` —
     shared accountants let callers pool several contractions under one
-    cap). :func:`~repro.planner.ooc.plan_ooc` routes the call: a
-    working set that fits runs the unmodified in-core engine
-    (``flags["ooc"] = "in_core"``); otherwise the streaming spill
-    pipeline runs (``flags["ooc"] = "spill"``). ``force_spill`` pins
-    the spill path for tests and benchmarks. Results and Table-2
-    traffic are byte-exact against the in-core engine either way.
+    cap). :func:`budget_sink` routes the call: a working set that fits
+    runs in memory (``flags["ooc"] = "in_core"``); otherwise the
+    streaming spill pipeline runs (``flags["ooc"] = "spill"``).
+    ``force_spill`` pins the spill path for tests and benchmarks.
+    Results and Table-2 traffic are byte-exact against the in-core
+    engine either way.
 
     ``swap_larger_to_y`` applies the §3.3 larger-operand rule exactly
-    like :func:`repro.core.sparta.sparta`; note the post-swap output
-    permutation+sort materializes Z in memory, so budget-critical
-    callers should orient operands so no swap triggers.
+    like :func:`repro.core.sparta.sparta` (the budget is planned for
+    the swapped operands); note the post-swap output permutation+sort
+    materializes Z in memory, so budget-critical callers should orient
+    operands so no swap triggers. ``hty_cache`` reuses a cached HtY as
+    :func:`~repro.core.sparta.sparta` does; its full bytes are charged
+    to the budget for the run.
     """
-    budget = (
-        memory_budget
-        if isinstance(memory_budget, MemoryBudget)
-        else MemoryBudget(memory_budget)
+    ox, oy, ocx, ocy, _ = oriented_operands(x, y, cx, cy, swap_larger_to_y)
+    sink = budget_sink(
+        memory_budget, ox, oy, ocx, ocy,
+        force_spill=force_spill, spill_root=spill_root,
     )
-    if swap_larger_to_y and x.nnz > y.nnz:
-        plan = cached_plan(x, y, cx, cy)
-        res = ooc_contract(
-            y, x, cy, cx,
-            memory_budget=budget,
-            sort_output=False,
-            num_buckets=num_buckets,
-            accumulator_buckets=accumulator_buckets,
-            spill_root=spill_root,
-            force_spill=force_spill,
-            codegen=codegen,
-            tracer=tracer,
-            engine_name=engine_name,
-        )
-        tr = NULL_TRACER if tracer is None else tracer
-        with tr.span(Stage.OUTPUT_SORTING.value, swapped=True):
-            z = res.tensor.permute(plan.swap_output_permutation())
-            if sort_output:
-                z = z.sort()
-        res.tensor = z
-        res.plan = plan
-        res.profile.counters["swapped_operands"] = 1
-        return res
-
-    plan = cached_plan(x, y, cx, cy)
-    stats = contraction_stats(x, y, plan)
-    decision = plan_ooc(stats, budget.cap, force_spill=force_spill)
-
-    if not decision.out_of_core:
-        res = looped_contract(
-            x, y, cx, cy,
-            engine_name=engine_name,
-            y_structure="hash",
-            accumulator="hash",
-            sort_output=sort_output,
-            num_buckets=num_buckets,
-            accumulator_buckets=accumulator_buckets,
-            codegen=codegen,
-            tracer=tracer,
-        )
-        res.profile.set_flag("ooc", "in_core")
-        res.profile.counters.update(decision.counters())
-        res.profile.counters.update(budget.counters())
-        return res
-
-    profile = RunProfile(engine_name)
-    tr = NULL_TRACER if tracer is None else tracer
-    clock = time.perf_counter
-    t_root = clock()
-    spill = SpillManager(spill_root)
-    try:
-        # ---------------- stage 1: input processing ------------------
-        t0 = clock()
-        px = prepare_x(x, plan, profile)
-        px_bytes = budget.charge("prepared_x", _px_nbytes(px))
-        hty = _build_hty_spilled(
-            y, plan.cy, decision, spill, budget, num_buckets, tr, clock
-        )
-        record_hty_build(y, hty, profile, cached=False)
-        hty_probes0 = hty.table.probes
-        t1 = clock()
-        profile.add_time(Stage.INPUT_PROCESSING, t1 - t0)
-        tr.add_span(Stage.INPUT_PROCESSING.value, start=t0, end=t1)
-        profile.bump("num_subtensors", px.num_subtensors)
-
-        # ------------- stages 2-4: chunked compute + spill ------------
-        tc0 = clock()
-        from repro.parallel.partition import partition_subtensors
-
-        ranges = partition_subtensors(px.ptr, decision.num_chunks)
-        writer = spill.writer("fused.runs")
-        products = 0
-        accum_probes = 0
-        max_out = 0
-        zlocal_rows = 0
-        for lo, hi in ranges:
-            fr = fused_compute(
-                px,
-                hty,
-                y_structure="hash",
-                accumulator="hash",
-                profile=profile,
-                accumulator_buckets=accumulator_buckets,
-                lo=lo,
-                hi=hi,
-                chunk_pairs=decision.chunk_pairs,
-                codegen=codegen,
-                clock=clock,
-            )
-            profile.add_time(Stage.INDEX_SEARCH, fr.search_seconds)
-            profile.add_time(Stage.ACCUMULATION, fr.accum_seconds)
-            fr_bytes = (
-                fr.out_fgrp.nbytes + fr.out_fy.nbytes
-                + fr.out_vals.nbytes
-            )
-            ts = clock()
-            with budget.hold("fused_chunk", fr_bytes):
-                writer.append_run(
-                    {
-                        "fgrp": fr.out_fgrp,
-                        "fy": fr.out_fy,
-                        "vals": fr.out_vals,
-                    }
-                )
-            tr.add_span(
-                "spill_run", start=ts, end=clock(), cat=CAT_SPILL,
-                rows=int(fr.nnz), bytes=int(fr_bytes),
-            )
-            products += fr.products
-            accum_probes += fr.accum_probes
-            max_out = max(max_out, fr.max_group_output)
-            zlocal_rows += fr.nnz
-            del fr
-        writer.close()
-        spill.account(writer)
-        profile.bump("products", products)
-        profile.bump("accum_probes", accum_probes)
-        if tr.enabled:
-            t = tc0
-            for st in (Stage.INDEX_SEARCH, Stage.ACCUMULATION):
-                d = float(profile.stage_seconds.get(st, 0.0))
-                tr.add_span(st.value, start=t, end=t + d,
-                            measured="aggregate")
-                t += d
-
-        # ------------- stages 4-5: streaming merge writeback ----------
-        reader = RunFileReader(writer.path)
-        runs = [reader.run(i) for i in range(reader.num_runs)]
-        z = stream_finalize(
-            runs,
-            px.fx_rows,
-            plan,
-            profile,
-            spill,
-            sort_output=sort_output,
-            clock=clock,
-            tracer=tr,
-        )
-        reader.close()
-        profile.counters["hash_probes"] = hty.table.probes - hty_probes0
-        record_computation_traffic(
-            plan,
-            profile,
-            x,
-            uses_hty=True,
-            products=products,
-            hta_peak_bytes=hta_model_nbytes(
-                max_out, accumulator_buckets
-            ),
-            created=z.nnz,
-        )
-        profile.set_flag("ooc", "spill")
-        profile.counters.update(decision.counters())
-        profile.counters.update(spill.counters())
-        profile.counters.update(budget.counters())
-        # Shared accountants outlive this run: return its residents.
-        budget.release("prepared_x", px_bytes)
-        budget.release("hty", hty.group_ptr.nbytes + hty.table.nbytes)
-        tr.add_span(
-            engine_name,
-            start=t_root,
-            end=clock(),
-            cat=CAT_CONTRACTION,
-            engine=engine_name,
-            ooc="spill",
-            nnz_out=int(z.nnz),
-        )
-        return ContractionResult(z, profile, plan)
-    finally:
-        spill.close()
+    return looped_contract(
+        x, y, cx, cy,
+        engine_name=engine_name,
+        y_structure="hash",
+        accumulator="hash",
+        sort_output=sort_output,
+        num_buckets=num_buckets,
+        accumulator_buckets=accumulator_buckets,
+        hty_cache=hty_cache,
+        codegen=codegen,
+        tracer=tracer,
+        swap_larger_to_y=swap_larger_to_y,
+        sink=sink,
+    )

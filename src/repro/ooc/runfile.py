@@ -19,8 +19,8 @@ Readers map arrays with ``np.memmap(mode="r")`` straight out of the
 file — zero-copy, demand-paged — and can drop consumed pages with
 :meth:`RunFileReader.release` (``madvise(MADV_DONTNEED)``), which is
 what bounds resident memory during the streaming merge. The same
-format serves the merge tree, the per-worker spill files of the
-process backend, and the serialized HtY partials.
+format serves the spilled fused runs, the merge tree and the
+serialized HtY partials.
 """
 
 from __future__ import annotations
@@ -29,20 +29,13 @@ import json
 import mmap
 import os
 import struct
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.errors import SpillError
 
-__all__ = [
-    "FusedRunRef",
-    "RunFileReader",
-    "RunFileWriter",
-    "load_fused_ref",
-    "spill_fused_range",
-]
+__all__ = ["RunFileReader", "RunFileWriter"]
 
 _MAGIC = b"SPTCRUN1"
 _TRAILER = struct.Struct("<QQ8s")
@@ -209,64 +202,3 @@ class RunFileReader:
     def __exit__(self, *exc) -> None:
         self.close()
 
-
-# ----------------------------------------------------------------------
-# fused-chunk spill refs (shipped over worker pipes instead of arrays)
-# ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class FusedRunRef:
-    """Pointer to one spilled fused chunk plus its scalar statistics.
-
-    Everything a :class:`~repro.core.kernels.FusedRange` carries except
-    the arrays themselves, which live in ``path`` (a single-run file).
-    Picklable, so process workers ship this over their result pipes and
-    the parent maps the arrays lazily — the payload digest shipped
-    alongside still covers the *array contents*, so the existing
-    corrupt-payload recovery applies unchanged after mapping.
-    """
-
-    path: str
-    nnz: int
-    products: int
-    accum_probes: int
-    max_group_output: int
-    spa_peak_bytes: int
-    search_seconds: float
-    accum_seconds: float
-
-
-def spill_fused_range(fr, path: str) -> FusedRunRef:
-    """Write one fused chunk's arrays to *path* (single-run file)."""
-    with RunFileWriter(path) as w:
-        w.append_run(
-            {"fgrp": fr.out_fgrp, "fy": fr.out_fy, "vals": fr.out_vals}
-        )
-    return FusedRunRef(
-        path=str(path),
-        nnz=int(fr.nnz),
-        products=int(fr.products),
-        accum_probes=int(fr.accum_probes),
-        max_group_output=int(fr.max_group_output),
-        spa_peak_bytes=int(fr.spa_peak_bytes),
-        search_seconds=float(fr.search_seconds),
-        accum_seconds=float(fr.accum_seconds),
-    )
-
-
-def load_fused_ref(ref: FusedRunRef):
-    """Re-map a spilled fused chunk as a FusedRange over mmapped arrays."""
-    from repro.core.kernels import FusedRange
-
-    reader = RunFileReader(ref.path)
-    arrs = reader.run(0)
-    return FusedRange(
-        out_fgrp=arrs["fgrp"],
-        out_fy=arrs["fy"],
-        out_vals=arrs["vals"],
-        products=ref.products,
-        accum_probes=ref.accum_probes,
-        max_group_output=ref.max_group_output,
-        spa_peak_bytes=ref.spa_peak_bytes,
-        search_seconds=ref.search_seconds,
-        accum_seconds=ref.accum_seconds,
-    )

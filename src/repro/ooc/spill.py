@@ -6,9 +6,7 @@ lives under it, its counters feed the run profile
 (``ooc_spill_bytes`` / ``ooc_runs`` / ``ooc_run_files``), and
 ``close()`` removes the whole tree — the leak check in
 ``benchmarks/bench_ooc.py`` asserts nothing survives it, including
-after an injected worker crash (respawned workers write fresh,
-uniquely named files; the orphans of the killed worker die with the
-directory).
+after an injected worker crash.
 """
 
 from __future__ import annotations
@@ -18,7 +16,7 @@ import shutil
 import tempfile
 from typing import Dict, Optional
 
-from .runfile import RunFileReader, RunFileWriter
+from .runfile import RunFileWriter
 
 __all__ = ["SpillManager"]
 
@@ -56,14 +54,6 @@ class SpillManager:
         """Fold a sealed writer's totals into the spill counters."""
         self.spilled_bytes += writer.bytes_written
         self.run_count += writer.run_count
-
-    def account_file(self, path: str) -> RunFileReader:
-        """Open + tally a run file written elsewhere (a worker's)."""
-        reader = RunFileReader(path)
-        self.file_count += 1
-        self.run_count += reader.num_runs
-        self.spilled_bytes += os.path.getsize(path)
-        return reader
 
     # ------------------------------------------------------------------
     def counters(self, prefix: str = "ooc") -> Dict[str, int]:

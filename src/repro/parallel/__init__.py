@@ -3,7 +3,6 @@ scalability model."""
 
 from repro.parallel.executor import (
     BACKENDS,
-    CHUNKINGS,
     ParallelResult,
     ThreadStats,
     parallel_sparta,
@@ -20,7 +19,7 @@ from repro.parallel.model import (
     ScalabilityPrediction,
 )
 from repro.parallel.partition import (
-    partition_by_count,
+    even_spans,
     partition_imbalance,
     partition_subtensors,
     select_units,
@@ -34,7 +33,6 @@ from repro.parallel.procpool import (
     SharedYSpec,
     SpartaProcessPool,
     attach_operands,
-    contract_chunks_in_processes,
     export_operands,
     export_y,
     resolve_start_method,
@@ -43,7 +41,6 @@ from repro.parallel.procpool import (
 __all__ = [
     "BACKENDS",
     "CALIBRATED_SERIAL_FRACTIONS",
-    "CHUNKINGS",
     "DEFAULT_CHUNKS_PER_WORKER",
     "ParallelResult",
     "RecoveryLog",
@@ -55,13 +52,12 @@ __all__ = [
     "SpartaProcessPool",
     "ThreadStats",
     "attach_operands",
-    "contract_chunks_in_processes",
+    "even_spans",
     "export_operands",
     "export_y",
     "merge_fused_runs",
     "merge_sorted_runs",
     "parallel_sparta",
-    "partition_by_count",
     "partition_imbalance",
     "partition_subtensors",
     "resolve_start_method",

@@ -1,82 +1,56 @@
-"""Parallel Sparta (paper §3.5) — thread and process backends, all stages.
+"""Parallel Sparta (paper §3.5) — the thread and process executors.
 
 The outer loop over X's mode-F sub-tensors is embarrassingly parallel
-once each worker owns a private accumulator and Z_local buffer. The
-serial stages around it are parallelized too: stage 1 partitions Y's
-non-zeros into per-worker spans whose partial groupings merge
+once each worker owns a private accumulator and Z_local buffer.
+:func:`parallel_sparta` runs the shared five-stage driver
+(:func:`repro.core.looped.looped_contract`) with one of two executors
+for that loop:
+
+* ``backend="thread"`` — :class:`ThreadExecutor`, a
+  ``ThreadPoolExecutor`` over static balanced ranges. Python threads
+  share one interpreter, so this backend models the parallel structure
+  (per-worker statistics feed the scalability model) but cannot measure
+  true multi-core wall-clock scaling;
+* ``backend="process"`` — :class:`ProcessExecutor` over a
+  :class:`~repro.parallel.procpool.SpartaProcessPool`: operands are
+  exported to shared memory, persistent worker processes claim
+  sub-tensor chunks through a shared counter (work stealing), and the
+  parent gathers per-chunk outputs in deterministic chunk order. With
+  ``parallel_stage1`` the same pool first builds HtY partials while
+  the parent sorts X — one pool start-up for all five stages. This
+  backend measures *real* wall-clock scaling on multi-core hosts
+  (:attr:`ParallelResult.wall_seconds`).
+
+The serial stages around the loop are parallel too: stage 1 partitions
+Y's non-zeros into per-worker spans whose partial groupings merge
 deterministically into the exact HtY ``from_coo`` would build
 (``parallel_stage1``), and stage 5 k-way merges the workers' presorted
 chunk outputs instead of re-sorting Z (``merge_output``,
 :mod:`repro.parallel.merge`) — so no stage leaves a serial Amdahl cap.
-Two backends run that structure:
 
-* ``backend="thread"`` — a ``ThreadPoolExecutor`` over static balanced
-  ranges. Python threads share one interpreter, so this backend models
-  the parallel structure (per-worker statistics feed the scalability
-  model) but cannot measure true multi-core wall-clock scaling;
-* ``backend="process"`` — :mod:`repro.parallel.procpool`: operands are
-  exported to shared memory, persistent worker processes claim
-  sub-tensor chunks through a shared counter (work stealing), and the
-  parent gathers per-chunk outputs in deterministic chunk order. With
-  ``parallel_stage1`` one :class:`~repro.parallel.procpool.SpartaProcessPool`
-  covers the whole run: workers stream HtY partials back while the
-  parent sorts X, then claim fused chunks — one pool start-up for all
-  five stages. This backend measures *real* wall-clock scaling on
-  multi-core hosts (:attr:`ParallelResult.wall_seconds`).
-
-Both backends execute the fused flat-batch kernel
-(:func:`repro.core.kernels.fused_compute`) per worker range — one
-batched search and one segmented accumulation per range — and every
+Both executors run the fused flat-batch kernel per range, and every
 flag combination is bit-identical to the serial fused engine:
 ranges/chunks cut at sub-tensor boundaries, so every output key is
 reduced inside a single range in X-row order, the stage-1 merge
 reorders whole groups without touching within-group row order, and the
-stage-5 merge provably equals the stable lexsort it replaces, exactly
-as Algorithm 2 line 17 describes.
-
-The profile charges the same Table-2 traffic set as the serial engine —
-HtY build, HtY probe reads, HtA accumulation and Z_local/Z writeback —
-via the shared accounting helpers in :mod:`repro.core.kernels`, so the
-memory simulator sees identical ``DataObject`` coverage for parallel
-runs with any backend or worker count (pinned by
+stage-5 merge provably equals the stable lexsort it replaces. Stage
+order, the Table-2 traffic and the memory budget belong to the driver,
+so parallel runs charge exactly what serial runs charge (pinned by
 ``tests/parallel/test_traffic_conservation.py``).
 """
 
 from __future__ import annotations
 
-import os
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor as _ThreadPool
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from repro.core.common import _sort_passes, coo_row_bytes, prepare_x
-from repro.core.htycache import HtYCache, cached_plan
-from repro.core.kernels import (
-    FusedRange,
-    assemble_fused,
-    fused_compute,
-    hta_model_nbytes,
-    record_computation_traffic,
-    record_hty_build,
-)
-from repro.core.profile import (
-    AccessKind,
-    AccessPattern,
-    DataObject,
-    RunProfile,
-)
+from repro.core.htycache import HtYCache
+from repro.core.looped import MemorySink, looped_contract
+from repro.core.profile import RunProfile
 from repro.core.result import ContractionResult
-from repro.core.stages import Stage
-from repro.core.looped import looped_contract
-from repro.errors import (
-    ContractionError,
-    PoolDegradedError,
-    ShapeError,
-)
+from repro.errors import ContractionError, PoolDegradedError, ShapeError
 from repro.faults import (
     ANY,
     FaultInjector,
@@ -89,16 +63,10 @@ from repro.hashtable.tensor_table import (
     build_partial_groups,
     split_contract_modes,
 )
-from repro.obs.tracer import (
-    CAT_CONTRACTION,
-    CAT_MERGE,
-    CAT_WORKER,
-    NULL_TRACER,
-    Tracer,
-)
+from repro.obs.tracer import CAT_WORKER, Tracer
 from repro.parallel.merge import merge_fused_runs
 from repro.parallel.partition import (
-    partition_by_count,
+    even_spans,
     partition_imbalance,
     partition_subtensors,
 )
@@ -107,58 +75,12 @@ from repro.parallel.procpool import (
     RecoveryLog,
     RecoveryPolicy,
     SpartaProcessPool,
-    contract_chunks_in_processes,
 )
 from repro.tensor.coo import SparseTensor
 
 ENGINE_NAME = "sparta_parallel"
 
 BACKENDS = ("thread", "process")
-
-CHUNKINGS = ("nnz", "count")
-
-PLANNERS = ("auto", "off")
-
-#: environment override for the default planner mode
-PLANNER_ENV = "REPRO_PLANNER"
-
-
-def _route_serial(
-    stats,
-    *,
-    backend: str,
-    threads: int,
-    parallel_stage1: bool,
-    merge_output: bool,
-    sort_output: bool,
-) -> bool:
-    """Cost-model verdict: does serial beat the *requested* config?
-
-    The in-executor planner never changes the caller's backend or
-    worker count — full schedule search belongs to
-    ``contract(plan="auto")``. It only answers whether the requested
-    parallel run would lose to the serial fused engine (pool start-up,
-    merge and per-range overheads unamortized), in which case the run
-    is routed to :func:`_run_serial_small`. Ties go to serial — equal
-    predicted cost means the parallel machinery buys nothing.
-    """
-    from repro.planner import CostModel, predicted_accumulator
-
-    model = CostModel()
-    acc = predicted_accumulator(stats)
-    serial = model.estimate(
-        stats, engine="serial", accumulator=acc, sort_output=sort_output
-    )
-    requested = model.estimate(
-        stats,
-        engine=backend,
-        workers=threads,
-        parallel_stage1=parallel_stage1,
-        merge_output=merge_output,
-        accumulator=acc,
-        sort_output=sort_output,
-    )
-    return serial.seconds <= requested.seconds
 
 
 @dataclass
@@ -182,8 +104,7 @@ class ParallelResult:
     result: ContractionResult
     threads: int
     thread_stats: List[ThreadStats] = field(default_factory=list)
-    #: which executor ran the workers ("thread" or "process"; the
-    #: planner-lite serial route reports "serial")
+    #: which executor ran the workers ("thread" or "process")
     backend: str = "thread"
     #: measured end-to-end wall-clock seconds of the parallel_sparta call
     #: (the real multi-core number on the process backend)
@@ -212,138 +133,34 @@ def parallel_sparta(
     chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
     parallel_stage1: bool = True,
     merge_output: bool = True,
-    chunking: str = "nnz",
     fault_plan: Optional[FaultPlan] = None,
     max_retries: int = 2,
     on_failure: str = "raise",
     unit_timeout: Optional[float] = None,
     timeout: Optional[float] = None,
     codegen: Optional[bool] = None,
-    planner: Optional[str] = None,
     tracer: Optional[Tracer] = None,
     memory_budget=None,
     spill_root: Optional[str] = None,
     force_spill: bool = False,
 ) -> ParallelResult:
-    """Budget-aware front door for :func:`_parallel_sparta_impl`.
-
-    Without ``memory_budget`` this is exactly the classic parallel
-    engine. With one (bytes, a ``"64M"``-style string, or a shared
-    :class:`repro.ooc.MemoryBudget`), :func:`repro.planner.ooc.plan_ooc`
-    decides in-core vs. out-of-core: a working set that fits runs the
-    unmodified pipeline (``flags["ooc"] = "in_core"``); otherwise
-    workers spill their fused chunk outputs to per-worker run files
-    under one :class:`~repro.ooc.SpillManager` directory and stage 5
-    becomes a streaming merge of those files
-    (``flags["ooc"] = "spill"``). Results and Table-2 traffic stay
-    bit/byte-identical to the in-core engines on every backend.
-    ``force_spill`` pins the spill path for tests; ``spill_root``
-    overrides the spill directory's parent (default: the system temp
-    dir).
-    """
-    if memory_budget is None:
-        return _parallel_sparta_impl(
-            x, y, cx, cy,
-            threads=threads, backend=backend, sort_output=sort_output,
-            num_buckets=num_buckets, hty_cache=hty_cache,
-            start_method=start_method,
-            chunks_per_worker=chunks_per_worker,
-            parallel_stage1=parallel_stage1, merge_output=merge_output,
-            chunking=chunking, fault_plan=fault_plan,
-            max_retries=max_retries, on_failure=on_failure,
-            unit_timeout=unit_timeout, timeout=timeout, codegen=codegen,
-            planner=planner, tracer=tracer,
-        )
-    # Imported lazily: repro.ooc imports repro.parallel.merge, so a
-    # top-level import here would cycle through repro.parallel.__init__.
-    from repro.ooc.budget import MemoryBudget
-    from repro.ooc.spill import SpillManager
-    from repro.planner.ooc import plan_ooc
-    from repro.planner.stats import contraction_stats
-
-    budget = (
-        memory_budget
-        if isinstance(memory_budget, MemoryBudget)
-        else MemoryBudget(memory_budget)
-    )
-    plan = cached_plan(x, y, cx, cy)
-    decision = plan_ooc(
-        contraction_stats(x, y, plan),
-        budget.cap,
-        workers=threads,
-        force_spill=force_spill,
-    )
-    spill = SpillManager(spill_root) if decision.out_of_core else None
-    try:
-        pres = _parallel_sparta_impl(
-            x, y, cx, cy,
-            threads=threads, backend=backend, sort_output=sort_output,
-            num_buckets=num_buckets, hty_cache=hty_cache,
-            start_method=start_method,
-            chunks_per_worker=chunks_per_worker,
-            parallel_stage1=parallel_stage1, merge_output=merge_output,
-            chunking=chunking, fault_plan=fault_plan,
-            max_retries=max_retries, on_failure=on_failure,
-            unit_timeout=unit_timeout, timeout=timeout, codegen=codegen,
-            planner=planner, tracer=tracer,
-            _ooc=(budget, decision, spill),
-        )
-        prof = pres.result.profile
-        prof.set_flag(
-            "ooc", "spill" if decision.out_of_core else "in_core"
-        )
-        prof.counters.update(decision.counters())
-        if spill is not None:
-            prof.counters.update(spill.counters())
-        prof.counters.update(budget.counters())
-        return pres
-    finally:
-        if spill is not None:
-            spill.close()
-
-
-def _parallel_sparta_impl(
-    x: SparseTensor,
-    y: SparseTensor,
-    cx: Sequence[int],
-    cy: Sequence[int],
-    *,
-    threads: int = 4,
-    backend: str = "thread",
-    sort_output: bool = True,
-    num_buckets: Optional[int] = None,
-    hty_cache: Optional[HtYCache] = None,
-    start_method: Optional[str] = None,
-    chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
-    parallel_stage1: bool = True,
-    merge_output: bool = True,
-    chunking: str = "nnz",
-    fault_plan: Optional[FaultPlan] = None,
-    max_retries: int = 2,
-    on_failure: str = "raise",
-    unit_timeout: Optional[float] = None,
-    timeout: Optional[float] = None,
-    codegen: Optional[bool] = None,
-    planner: Optional[str] = None,
-    tracer: Optional[Tracer] = None,
-    _ooc=None,
-) -> ParallelResult:
     """Run Sparta with *threads* workers over the sub-tensor loop.
 
-    ``backend="process"`` runs the workers as separate processes over
-    shared-memory operands (see :mod:`repro.parallel.procpool`);
-    ``start_method`` ("fork"/"spawn"/"forkserver") and
-    ``chunks_per_worker`` (work-stealing granularity) apply only there.
+    The call runs exactly the configuration it asks for (choosing one
+    is ``contract(plan="auto")``'s job; ``flags["planner"]`` is
+    ``"off"`` here). ``backend="process"`` runs the workers as separate
+    processes over shared-memory operands (see
+    :mod:`repro.parallel.procpool`); ``start_method``
+    ("fork"/"spawn"/"forkserver") and ``chunks_per_worker``
+    (work-stealing granularity) apply only there.
 
     ``parallel_stage1`` builds HtY from per-worker partial groupings
     merged in the parent (stage 1 parallel; skipped when an
     ``hty_cache`` serves the build, or when an operand is empty);
     ``merge_output`` replaces the final full lexsort of Z with a merge
-    of the per-range sorted runs (stage 5 parallel);
-    ``chunking`` picks the work decomposition: ``"nnz"`` balances
-    cumulative non-zeros (default), ``"count"`` is the naive equal
-    sub-tensor-count baseline. Output is bit-identical across backends,
-    worker counts and all of these switches.
+    of the per-range sorted runs (stage 5 parallel). Worker ranges
+    balance cumulative non-zeros. Output is bit-identical across
+    backends, worker counts and all of these switches.
 
     Fault tolerance: worker failures (hard death, hang past
     ``unit_timeout``, corrupt payload) lose only the failed worker's
@@ -362,24 +179,21 @@ def _parallel_sparta_impl(
 
     ``codegen`` controls the per-signature generated kernels of the
     fused path (see :func:`repro.core.kernels.fused_compute`). The
-    thread backend and the serial planner route honor the per-call
-    value; process-pool workers resolve it from the inherited
-    ``REPRO_NO_CODEGEN`` environment instead (code objects never cross
-    a pipe — workers compile from the shipped operands' signature).
+    thread backend honors the per-call value; process-pool workers
+    resolve it from the inherited ``REPRO_NO_CODEGEN`` environment
+    instead (code objects never cross a pipe — workers compile from the
+    shipped operands' signature).
 
-    ``planner`` (``"auto"``/``"off"``, default from the
-    ``REPRO_PLANNER`` environment variable, else ``"auto"``) enables
-    cost-model routing (:mod:`repro.planner`): when the calibrated
-    stage-cost model predicts the requested parallel configuration
-    loses to the serial fused engine (pool start-up, merge and
-    per-range overheads unamortized), the run is routed serial — same
-    bit-identical output and Table-2 traffic. The routing never changes
-    the caller's backend or worker count; full schedule search is
-    ``contract(plan="auto")``. ``profile.flags["planner"]`` always
-    records the decision: ``"off"`` (disabled, or a ``fault_plan`` is
-    active — fault-injection tests target the parallel machinery
-    itself), ``"serial_small"`` (routed serial) or ``"auto:<backend>"``
-    (stayed parallel).
+    ``memory_budget`` (bytes, a ``"64M"``-style string, or a shared
+    :class:`repro.ooc.MemoryBudget`) lets
+    :func:`repro.ooc.engine.budget_sink` decide in-core vs.
+    out-of-core: a working set that fits keeps its ranges in memory
+    (``flags["ooc"] = "in_core"``); otherwise each accepted range is
+    spilled to a run file under one spill directory and stage 5 becomes
+    a streaming merge of those runs (``flags["ooc"] = "spill"``).
+    ``force_spill`` pins the spill path for tests; ``spill_root``
+    overrides the spill directory's parent (default: the system temp
+    dir).
 
     ``tracer`` (a :class:`repro.obs.Tracer`) records the five stage
     spans on the parent track plus per-worker timelines — spawn/claim
@@ -394,10 +208,6 @@ def _parallel_sparta_impl(
         raise ContractionError(
             f"unknown backend {backend!r}; choose from {BACKENDS}"
         )
-    if chunking not in CHUNKINGS:
-        raise ContractionError(
-            f"unknown chunking {chunking!r}; choose from {CHUNKINGS}"
-        )
     if fault_plan is None:
         fault_plan = FaultPlan.from_env()
     policy = RecoveryPolicy(
@@ -406,415 +216,33 @@ def _parallel_sparta_impl(
         unit_timeout=unit_timeout,
         timeout=timeout,
     )
-    rlog = RecoveryLog(tracer=tracer)
-    tr = NULL_TRACER if tracer is None else tracer
-    injector = (
-        FaultInjector(fault_plan, kill_mode="raise", tracer=tracer)
-        if backend == "thread" and fault_plan
-        else None
-    )
-    planner_mode = planner
-    if planner_mode is None:
-        planner_mode = os.environ.get(PLANNER_ENV, "") or "auto"
-    if planner_mode not in PLANNERS:
-        raise ContractionError(
-            f"unknown planner {planner_mode!r}; choose from {PLANNERS}"
+    log = RecoveryLog(tracer=tracer)
+    if backend == "thread":
+        executor = ThreadExecutor(
+            threads, parallel_stage1=parallel_stage1, policy=policy,
+            log=log, fault_plan=fault_plan, tracer=tracer,
         )
-    plan = cached_plan(x, y, cx, cy)
-    clock = time.perf_counter
-    ooc_budget = ooc_decision = ooc_spill = None
-    if _ooc is not None:
-        ooc_budget, ooc_decision, ooc_spill = _ooc
-    ooc_spilling = ooc_decision is not None and ooc_decision.out_of_core
-    est: Optional[int] = None
-    planner_flag = "off"
-    # The serial-small route would ignore the spill plan; skip it when
-    # the budget decision says the working set must go out of core.
-    if planner_mode == "auto" and not fault_plan and not ooc_spilling:
-        from repro.planner import contraction_stats
-
-        stats = contraction_stats(x, y, plan)
-        est = stats.est_products
-        if _route_serial(
-            stats,
-            backend=backend,
-            threads=threads,
-            parallel_stage1=parallel_stage1,
-            merge_output=merge_output,
-            sort_output=sort_output,
-        ):
-            return _run_serial_small(
-                x, y, cx, cy,
-                est=est,
-                sort_output=sort_output,
-                num_buckets=num_buckets,
-                hty_cache=hty_cache,
-                codegen=codegen,
-                tracer=tracer,
-                clock=clock,
-            )
-        planner_flag = f"auto:{backend}"
-    profile = RunProfile(ENGINE_NAME)
-    # The flag is always present: "off" (disabled or fault plan active),
-    # "serial_small" (routed), or "auto:<backend>" (stayed parallel).
-    profile.set_flag("planner", planner_flag)
-    if est is not None:
-        profile.counters["planner_est_products"] = int(est)
-    wall0 = clock()
-
-    pool: Optional[SpartaProcessPool] = None
-    use_pool = (
-        backend == "process"
-        and parallel_stage1
-        and hty_cache is None
-        and y.nnz > 0
-        and x.nnz > 0
-    )
-    try:
-        t0 = clock()
-        if use_pool:
-            # Start the workers on Y spans *before* preparing X so the
-            # parent's sort of X overlaps the partial builds.
-            cmodes, fmodes, cdims, fdims = split_contract_modes(
-                y.order, y.shape, plan.cy
-            )
-            pool = SpartaProcessPool(
-                y.indices,
-                y.values,
-                cmodes,
-                fmodes,
-                cdims,
-                fdims,
-                _even_spans(y.nnz, threads),
-                workers=threads,
-                start_method=start_method,
-                policy=policy,
-                fault_plan=fault_plan,
-                recovery_log=rlog,
-                spill_dir=ooc_spill.root if ooc_spilling else None,
-            )
-            px = prepare_x(x, plan, profile)
-            partials, stage1_secs = pool.drain_partials()
-            hty = HashTensor.merge_partials(
-                partials, fdims, cdims, num_buckets=num_buckets
-            )
-            cached = False
-        else:
-            px = prepare_x(x, plan, profile)
-            stage1_secs = None
-            if hty_cache is not None:
-                hty, cached = hty_cache.get_or_build(
-                    y, plan.cy, num_buckets=num_buckets
-                )
-                if not cached:
-                    profile.bump("hty_cache_misses")
-            elif (
-                parallel_stage1
-                and backend == "thread"
-                and threads > 1
-                and y.nnz > 0
-            ):
-                hty = _build_hty_threads(
-                    y,
-                    plan.cy,
-                    threads,
-                    num_buckets,
-                    injector=injector,
-                    policy=policy,
-                    log=rlog,
-                )
-                cached = False
-            else:
-                hty = HashTensor.from_coo(
-                    y, plan.cy, num_buckets=num_buckets
-                )
-                cached = False
-        record_hty_build(y, hty, profile, cached=cached)
-        t1 = clock()
-        profile.add_time(Stage.INPUT_PROCESSING, t1 - t0)
-        tr.add_span(Stage.INPUT_PROCESSING.value, start=t0, end=t1)
-        profile.bump("num_subtensors", px.num_subtensors)
-        px_nbytes = hty_nbytes = 0
-        if ooc_budget is not None:
-            px_nbytes = int(
-                px.ptr.nbytes + px.fx_rows.nbytes + px.cx_ln.nbytes
-                + px.values.nbytes
-            )
-            hty_nbytes = int(hty.nbytes)
-            ooc_budget.charge("prepared_x", px_nbytes)
-            ooc_budget.charge("hty", hty_nbytes)
-
-        tc0 = clock()
-        ooc_min_chunks = (
-            ooc_decision.num_chunks if ooc_spilling else None
-        )
-        if use_pool:
-            fused, stats, counter_dicts, hash_probes, imbalance = (
-                _run_pool_chunks(
-                    pool,
-                    px,
-                    hty,
-                    threads,
-                    profile,
-                    chunks_per_worker=chunks_per_worker,
-                    chunking=chunking,
-                    stage1_secs=stage1_secs,
-                    min_chunks=ooc_min_chunks,
-                )
-            )
-        elif backend == "thread":
-            fused, stats, counter_dicts, hash_probes, imbalance = (
-                _run_threads(
-                    px,
-                    hty,
-                    threads,
-                    profile,
-                    clock,
-                    chunking,
-                    injector=injector,
-                    policy=policy,
-                    log=rlog,
-                    codegen=codegen,
-                    tracer=tracer,
-                    num_ranges=(
-                        max(threads, ooc_min_chunks)
-                        if ooc_spilling
-                        else None
-                    ),
-                    spill_fn=(
-                        _thread_spill_fn(ooc_spill, ooc_budget)
-                        if ooc_spilling
-                        else None
-                    ),
-                )
-            )
-        else:
-            fused, stats, counter_dicts, hash_probes, imbalance = (
-                _run_processes(
-                    px,
-                    hty,
-                    threads,
-                    profile,
-                    chunks_per_worker=chunks_per_worker,
-                    start_method=start_method,
-                    chunking=chunking,
-                    policy=policy,
-                    fault_plan=fault_plan,
-                    log=rlog,
-                    spill_dir=ooc_spill.root if ooc_spilling else None,
-                    min_chunks=ooc_min_chunks,
-                )
-            )
-        tc1 = clock()
-    finally:
-        if pool is not None:
-            pool.close()
-
-    # Per-stage seconds must be *parent wall-clock*: the workers' stage
-    # timers overlap in real time, so summing them would charge N
-    # workers' concurrent seconds to one run (and make the stage
-    # breakdown exceed the wall time by ~threads×). Apportion the
-    # measured compute-phase wall between search and accumulation by
-    # the workers' relative busy time instead.
-    compute_wall = tc1 - tc0
-    search_sum = sum(fr.search_seconds for fr in fused)
-    accum_sum = sum(fr.accum_seconds for fr in fused)
-    busy = search_sum + accum_sum
-    fsearch = (search_sum / busy) if busy > 0 else 0.5
-    profile.add_time(Stage.INDEX_SEARCH, compute_wall * fsearch)
-    profile.add_time(Stage.ACCUMULATION, compute_wall * (1.0 - fsearch))
-    if tr.enabled:
-        mid = tc0 + compute_wall * fsearch
-        tr.add_span(Stage.INDEX_SEARCH.value, start=tc0, end=mid,
-                    measured="apportioned")
-        tr.add_span(Stage.ACCUMULATION.value, start=mid, end=tc1,
-                    measured="apportioned")
-    for counters in counter_dicts:
-        profile.bump_many(counters)
-    products = sum(fr.products for fr in fused)
-    profile.bump("products", products)
-    profile.bump("accum_probes", sum(fr.accum_probes for fr in fused))
-
-    nfx = len(plan.fx)
-    zlocal_peak = max(
-        (fr.nnz * (8 * nfx + 16) for fr in fused), default=0
-    )
-    if ooc_spilling:
-        # Account the run files the workers wrote directly (the thread
-        # backend's spill_fn and the process workers' per-worker files
-        # bypass spill.writer()); unsealed leftovers of a killed worker
-        # are skipped — spill.close() removes them regardless.
-        for fn in sorted(os.listdir(ooc_spill.root)):
-            if fn.endswith(".run"):
-                try:
-                    ooc_spill.account_file(
-                        os.path.join(ooc_spill.root, fn)
-                    ).close()
-                except Exception:
-                    pass
-        from repro.ooc.engine import stream_finalize
-
-        # Chunks cover disjoint ascending sub-tensor spans gathered in
-        # chunk order, so the streaming merge's ordered fast path is a
-        # straight concatenation — the same bit-identity argument as
-        # the in-core gather below.
-        runs = [
-            {"fgrp": fr.out_fgrp, "fy": fr.out_fy, "vals": fr.out_vals}
-            for fr in fused
-        ]
-        z = stream_finalize(
-            runs,
-            px.fx_rows,
-            plan,
-            profile,
-            ooc_spill,
-            sort_output=sort_output,
-            clock=clock,
-            tracer=tracer,
-            zlocal_peak_bytes=zlocal_peak,
-        )
-        if sort_output:
-            profile.bump("output_merge_stream")
     else:
-        # Ranges/chunks are contiguous ascending sub-tensor spans
-        # gathered in span order, so simple concatenation preserves the
-        # global (fgrp, fy) order the serial fused path produces —
-        # gathering is Algorithm 2 line 17.
-        if sort_output and merge_output:
-            t0 = clock()
-            fgrp, fy, vals, presorted, merge_path = merge_fused_runs(
-                fused, plan.fy_dims
-            )
-            merge_seconds = clock() - t0
-            tr.add_span(
-                "merge_output", start=t0, end=t0 + merge_seconds,
-                cat=CAT_MERGE,
-            )
-        else:
-            empty = np.empty(0, dtype=np.int64)
-            fgrp = np.concatenate(
-                [fr.out_fgrp for fr in fused] or [empty]
-            )
-            fy = np.concatenate([fr.out_fy for fr in fused] or [empty])
-            vals = np.concatenate(
-                [fr.out_vals for fr in fused] or [empty]
-            )
-            presorted, merge_path, merge_seconds = False, "off", 0.0
-        t0 = clock()
-        z = assemble_fused(
-            fgrp,
-            fy,
-            vals,
-            px.fx_rows,
-            plan,
-            profile,
-            zlocal_peak_bytes=zlocal_peak,
-            codegen=codegen,
+        executor = ProcessExecutor(
+            threads, parallel_stage1=parallel_stage1, policy=policy,
+            log=log, fault_plan=fault_plan, start_method=start_method,
+            chunks_per_worker=chunks_per_worker,
         )
-        t1 = clock()
-        profile.add_time(Stage.WRITEBACK, t1 - t0)
-        tr.add_span(Stage.WRITEBACK.value, start=t0, end=t1)
-        if sort_output:
-            t0 = clock()
-            if not presorted:
-                # Fallback (merge disabled, overflowing key space or
-                # unsorted runs): the full lexsort, exactly as before.
-                z = z.sort()
-            t1 = clock()
-            profile.add_time(
-                Stage.OUTPUT_SORTING, merge_seconds + (t1 - t0)
-            )
-            tr.add_span(
-                Stage.OUTPUT_SORTING.value, start=t0, end=t1,
-                merge_seconds=merge_seconds,
-            )
-            if merge_output:
-                profile.bump(f"output_merge_{merge_path}")
-            # The traffic model charges the sort's access signature
-            # whether it ran as a lexsort or as a merge of sorted runs —
-            # both move every output row once per pass, and Table-2
-            # cells must stay byte-exact with the serial engine.
-            rowb = coo_row_bytes(plan.out_order)
-            passes = _sort_passes(z.nnz)
-            profile.record_traffic(
-                DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.READ,
-                AccessPattern.RANDOM, int(z.nnz * rowb * passes),
-            )
-            profile.record_traffic(
-                DataObject.Z, Stage.OUTPUT_SORTING, AccessKind.WRITE,
-                AccessPattern.RANDOM, int(z.nnz * rowb * passes),
-            )
-    profile.counters["hash_probes"] = hash_probes
-    record_computation_traffic(
-        plan,
-        profile,
-        x,
-        uses_hty=True,
-        products=products,
-        hta_peak_bytes=hta_model_nbytes(
-            max((fr.max_group_output for fr in fused), default=0)
-        ),
-        created=z.nnz,
-    )
-    profile.counters["load_imbalance_x1000"] = int(imbalance * 1000)
-    if rlog.counters:
-        profile.bump_many(rlog.counters)
-    if rlog.degraded:
-        profile.set_flag("degraded", "serial")
-    if ooc_budget is not None:
-        # Shared accountants outlive this run: return its residents.
-        ooc_budget.release("prepared_x", px_nbytes)
-        ooc_budget.release("hty", hty_nbytes)
-    wall = clock() - wall0
-    tr.add_span(
-        ENGINE_NAME,
-        start=wall0,
-        end=wall0 + wall,
-        cat=CAT_CONTRACTION,
-        engine=ENGINE_NAME,
-        backend=backend,
-        threads=threads,
-        nnz_out=int(z.nnz),
-    )
-    return ParallelResult(
-        result=ContractionResult(z, profile, plan),
-        threads=threads,
-        thread_stats=stats,
-        backend=backend,
-        wall_seconds=wall,
-    )
+    merge = merge_fused_runs if merge_output else None
+    if memory_budget is None:
+        sink = MemorySink(merge=merge)
+    else:
+        # Imported lazily: repro.ooc imports repro.parallel, so a
+        # top-level import here would cycle through its __init__.
+        from repro.ooc.engine import budget_sink
 
-
-def _run_serial_small(
-    x: SparseTensor,
-    y: SparseTensor,
-    cx: Sequence[int],
-    cy: Sequence[int],
-    *,
-    est: int,
-    sort_output: bool,
-    num_buckets: Optional[int],
-    hty_cache: Optional[HtYCache],
-    codegen: Optional[bool],
-    tracer: Optional[Tracer],
-    clock,
-) -> ParallelResult:
-    """Planner-lite serial route for contractions too small to farm out.
-
-    Runs the serial fused engine under the parallel engine's name so
-    downstream consumers (metrics, experiments) see one engine label,
-    and synthesizes the single :class:`ThreadStats` row from the run's
-    own counters — callers indexing per-worker statistics keep working.
-    Output, profile counters and Table-2 traffic are exactly the serial
-    fused engine's, which is the point: below the threshold the
-    parallel run would produce the same bytes, slower.
-    """
-    wall0 = clock()
+        sink = budget_sink(
+            memory_budget, x, y, cx, cy, workers=threads,
+            force_spill=force_spill, spill_root=spill_root, merge=merge,
+        )
+    wall0 = time.perf_counter()
     res = looped_contract(
-        x,
-        y,
-        cx,
-        cy,
+        x, y, cx, cy,
         engine_name=ENGINE_NAME,
         y_structure="hash",
         accumulator="hash",
@@ -823,49 +251,29 @@ def _run_serial_small(
         hty_cache=hty_cache,
         codegen=codegen,
         tracer=tracer,
+        executor=executor,
+        sink=sink,
     )
-    wall = clock() - wall0
-    profile = res.profile
-    profile.set_flag("planner", "serial_small")
-    profile.counters["planner_est_products"] = int(est)
-    c = profile.counters
-    stats = [
-        ThreadStats(
-            worker=0,
-            subtensors=int(c.get("num_subtensors", 0)),
-            nnz_x=int(x.nnz),
-            products=int(c.get("products", 0)),
-            output_nnz=int(res.tensor.nnz),
-            seconds=profile.total_seconds,
-        )
-    ]
+    wall = time.perf_counter() - wall0
+    res.profile.set_flag("planner", "off")
     return ParallelResult(
         result=res,
-        threads=1,
-        thread_stats=stats,
-        backend="serial",
+        threads=threads,
+        thread_stats=executor.stats,
+        backend=backend,
         wall_seconds=wall,
     )
 
 
-def _even_spans(n: int, k: int) -> List[Tuple[int, int]]:
-    """Split ``range(n)`` into ≤ *k* near-equal contiguous spans."""
-    k = max(min(int(k), int(n)), 1)
-    bounds = [(i * n) // k for i in range(k + 1)]
-    return [
-        (bounds[i], bounds[i + 1])
-        for i in range(k)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
-def _partition_chunks(
-    ptr: np.ndarray, num_chunks: int, chunking: str
-) -> List[Tuple[int, int]]:
-    """Cut sub-tensors into chunks by the selected cost model."""
-    if chunking == "count":
-        return partition_by_count(int(ptr.shape[0] - 1), num_chunks)
-    return partition_subtensors(ptr, num_chunks)
+def _fold_worker_counters(profile, counter_dicts, imbalance, log) -> None:
+    """Fold per-worker counters and the recovery log into *profile*."""
+    for counters in counter_dicts:
+        profile.bump_many(counters)
+    profile.counters["load_imbalance_x1000"] = int(imbalance * 1000)
+    if log.counters:
+        profile.bump_many(log.counters)
+    if log.degraded:
+        profile.set_flag("degraded", "serial")
 
 
 def _private_hty_view(hty: HashTensor) -> HashTensor:
@@ -949,7 +357,7 @@ def _build_hty_threads(
     cmodes, fmodes, cdims, fdims = split_contract_modes(
         y.order, y.shape, cy
     )
-    spans = _even_spans(y.nnz, threads)
+    spans = even_spans(y.nnz, threads)
 
     def build_span(lo: int, hi: int):
         return build_partial_groups(
@@ -987,299 +395,240 @@ def _build_hty_threads(
     if len(tasks) <= 1:
         partials = [build(t) for t in tasks]
     else:
-        with ThreadPoolExecutor(max_workers=threads) as tpool:
+        with _ThreadPool(max_workers=threads) as tpool:
             partials = list(tpool.map(build, tasks))
     return HashTensor.merge_partials(
         partials, fdims, cdims, num_buckets=num_buckets
     )
 
 
-def _thread_spill_fn(spill, budget):
-    """Per-range spill hook for the thread backend's OOC mode.
+class ThreadExecutor:
+    """Static balanced ranges on a thread pool sharing one HtY.
 
-    Writes an *accepted* range output (post fault-retry, post digest
-    check — injected corruption must never reach a read-only map) to
-    its own run file and returns the mmapped view, so the in-memory
-    arrays can be collected. The lock serializes the spill manager's
-    name sequence and the budget accounting, which are not thread-safe.
+    With a fault plan, each attempt probes through a private zero-copy
+    view (:func:`_private_hty_view`): only accepted attempts count
+    probes, and only accepted outputs reach the sink.
     """
-    from repro.ooc.runfile import load_fused_ref, spill_fused_range
 
-    lock = threading.Lock()
+    concurrent = True
 
-    def spill_range(fr: FusedRange) -> FusedRange:
-        nbytes = int(
-            fr.out_fgrp.nbytes + fr.out_fy.nbytes + fr.out_vals.nbytes
+    def __init__(self, threads: int, *, parallel_stage1: bool,
+                 policy: RecoveryPolicy, log: RecoveryLog,
+                 fault_plan: Optional[FaultPlan], tracer=None) -> None:
+        self.threads = int(threads)
+        self.parallel_stage1 = parallel_stage1
+        self.policy = policy
+        self.log = log
+        self.injector = (
+            FaultInjector(fault_plan, kill_mode="raise", tracer=tracer)
+            if fault_plan else None
         )
-        with lock:
-            path = spill.path("chunk.run")
-            budget.charge("fused_chunk", nbytes)
-        try:
-            ref = spill_fused_range(fr, path)
-        finally:
-            with lock:
-                budget.release("fused_chunk", nbytes)
-        return load_fused_ref(ref)
+        self.tracer = tracer
+        self.span_args = {"backend": "thread", "threads": self.threads}
+        self.stats: List[ThreadStats] = []
 
-    return spill_range
-
-
-def _run_threads(
-    px,
-    hty,
-    threads: int,
-    profile: RunProfile,
-    clock,
-    chunking: str,
-    *,
-    injector: Optional[FaultInjector] = None,
-    policy: Optional[RecoveryPolicy] = None,
-    log: Optional[RecoveryLog] = None,
-    codegen: Optional[bool] = None,
-    tracer: Optional[Tracer] = None,
-    num_ranges: Optional[int] = None,
-    spill_fn=None,
-) -> Tuple[
-    List[FusedRange], List[ThreadStats], List[Dict[str, int]], int, float
-]:
-    """Static balanced ranges on a ThreadPoolExecutor (shared HtY).
-
-    Without an injector every worker probes the shared HtY directly and
-    ``hash_probes`` is the global counter delta. With one, each attempt
-    probes through a private zero-copy view (:func:`_private_hty_view`)
-    and only accepted attempts contribute probes — a failed attempt's
-    probes must not inflate the Table-2/Eq.(3) accounting.
-    """
-    hty_probes0 = hty.table.probes
-    ranges = _partition_chunks(
-        px.ptr, int(num_ranges) if num_ranges else threads, chunking
-    )
-    profile.counters["partition_ranges"] = len(ranges)
-
-    def run_range(
-        wid: int, lo: int, hi: int, table: HashTensor
-    ) -> Tuple[FusedRange, RunProfile, ThreadStats]:
-        t_start = clock()
-        wprofile = RunProfile(f"{ENGINE_NAME}-w{wid}")
-        fr = fused_compute(
-            px,
-            table,
-            y_structure="hash",
-            accumulator="hash",
-            profile=wprofile,
-            lo=lo,
-            hi=hi,
-            codegen=codegen,
-            clock=clock,
-        )
-        t_end = clock()
-        if tracer is not None:
-            # list.append is atomic under the GIL, so worker threads
-            # record straight onto the shared tracer.
-            tracer.add_span(
-                "chunk",
-                start=t_start,
-                end=t_end,
-                cat=CAT_WORKER,
-                tid=wid + 1,
-                unit=wid,
-                subtensors=int(hi - lo),
-                products=int(fr.products),
-            )
-        return fr, wprofile, ThreadStats(
-            worker=wid,
-            subtensors=hi - lo,
-            nnz_x=int(px.ptr[hi] - px.ptr[lo]),
-            products=fr.products,
-            output_nnz=fr.nnz,
-            seconds=t_end - t_start,
+    def start_hty(self, x, y, plan, num_buckets):
+        if not (self.parallel_stage1 and self.threads > 1 and y.nnz > 0):
+            return None
+        return lambda: _build_hty_threads(
+            y, plan.cy, self.threads, num_buckets,
+            injector=self.injector, policy=self.policy, log=self.log,
         )
 
-    def worker(args: Tuple[int, int, int]):
-        wid, lo, hi = args
-        if injector is None:
-            out = run_range(wid, lo, hi, hty)
-            out = out + (None,)
-            if spill_fn is not None:
-                out = (spill_fn(out[0]),) + out[1:]
-            return out
+    def run(self, px, hty, sink, accept, profile, kernel):
+        ranges = partition_subtensors(
+            px.ptr, max(self.threads, sink.min_ranges)
+        )
+        profile.counters["partition_ranges"] = len(ranges)
+        clock = kernel["clock"]
+        injector, tracer = self.injector, self.tracer
 
-        def attempt():
-            injector.fire("index_search", wid, worker=wid)
-            view = _private_hty_view(hty)
-            out = run_range(wid, lo, hi, view)
-            fr = out[0]
-            injector.fire("accumulation", wid, worker=wid)
-            digest = payload_digest(fr.out_fgrp, fr.out_fy, fr.out_vals)
-            if injector.maybe_corrupt(
-                "accumulation", wid, (fr.out_vals,), worker=wid
-            ) and payload_digest(
-                fr.out_fgrp, fr.out_fy, fr.out_vals
-            ) != digest:
-                log.bump("ft_corrupt_payloads")
-                raise InjectedFault(
-                    f"corrupt chunk payload (range {wid})"
+        def run_range(wid: int, lo: int, hi: int, table: HashTensor):
+            t_start = clock()
+            wprofile = RunProfile(f"{ENGINE_NAME}-w{wid}")
+            fr = sink.compute(px, table, wprofile, lo, hi, kernel)
+            t_end = clock()
+            if tracer is not None:
+                # list.append is atomic under the GIL, so worker threads
+                # record straight onto the shared tracer.
+                tracer.add_span(
+                    "chunk",
+                    start=t_start,
+                    end=t_end,
+                    cat=CAT_WORKER,
+                    tid=wid + 1,
+                    unit=wid,
+                    subtensors=int(hi - lo),
+                    products=int(fr.products),
                 )
-            injector.fire("writeback", wid, worker=wid)
-            injector.fire("output_sorting", ANY, worker=wid)
-            return out + (view.table.probes,)
-
-        def serial_attempt():
-            view = _private_hty_view(hty)
-            out = run_range(wid, lo, hi, view)
-            return out + (view.table.probes,)
-
-        out = _fault_retry(
-            wid, policy, log, attempt, serial_attempt, "range"
-        )
-        if spill_fn is not None:
-            out = (spill_fn(out[0]),) + out[1:]
-        return out
-
-    tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
-    if threads == 1 or len(tasks) <= 1:
-        outputs = [worker(t) for t in tasks]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outputs = list(pool.map(worker, tasks))
-    # Per-worker stage timers overlap in wall-clock time; the caller
-    # charges the profile's stage seconds from its own compute-phase
-    # wall clock, apportioned by these timers' relative weight.
-    fused = [fr for fr, _, _, _ in outputs]
-    counter_dicts = [dict(wp.counters) for _, wp, _, _ in outputs]
-    stats = [s for _, _, s, _ in outputs]
-    if injector is None:
-        hash_probes = hty.table.probes - hty_probes0
-    else:
-        hash_probes = sum(p for _, _, _, p in outputs)
-    imbalance = partition_imbalance(px.ptr, ranges)
-    return fused, stats, counter_dicts, hash_probes, imbalance
-
-
-def _aggregate_worker_chunks(
-    px,
-    chunks: List[Tuple[int, int]],
-    wchunks,
-    workers: int,
-    stage1_secs: Optional[Dict[int, float]] = None,
-) -> Tuple[
-    List[FusedRange], List[ThreadStats], List[Dict[str, int]], int, float
-]:
-    """Fold per-chunk process results into per-worker statistics.
-
-    Workers that stole nothing still get a zero row (the scalability
-    experiments index stats by worker id). Fault recovery can add rows
-    beyond the original worker count: respawned workers carry fresh ids
-    past it, and the parent's serial fallback reports as worker ``-1``;
-    they are appended after the original rows (``-1`` last), so an
-    undisturbed run's stats are exactly one row per requested worker.
-    """
-    stats_map: Dict[int, ThreadStats] = {}
-
-    def row(wid: int) -> ThreadStats:
-        s = stats_map.get(wid)
-        if s is None:
-            s = ThreadStats(
-                worker=wid, subtensors=0, nnz_x=0, products=0,
-                output_nnz=0, seconds=0.0,
+            return fr, wprofile, ThreadStats(
+                worker=wid,
+                subtensors=hi - lo,
+                nnz_x=int(px.ptr[hi] - px.ptr[lo]),
+                products=fr.products,
+                output_nnz=fr.nnz,
+                seconds=t_end - t_start,
             )
-            stats_map[wid] = s
-        return s
 
-    for wid in range(workers):
-        row(wid)
-    if stage1_secs:
-        for wid, secs in stage1_secs.items():
+        def worker(args: Tuple[int, int, int]):
+            wid, lo, hi = args
+            if injector is None:
+                fr, wprofile, stats = run_range(wid, lo, hi, hty)
+                probes = None
+            else:
+                def attempt():
+                    injector.fire("index_search", wid, worker=wid)
+                    view = _private_hty_view(hty)
+                    out = run_range(wid, lo, hi, view)
+                    fr = out[0]
+                    injector.fire("accumulation", wid, worker=wid)
+                    digest = payload_digest(
+                        fr.out_fgrp, fr.out_fy, fr.out_vals
+                    )
+                    if injector.maybe_corrupt(
+                        "accumulation", wid, (fr.out_vals,), worker=wid
+                    ) and payload_digest(
+                        fr.out_fgrp, fr.out_fy, fr.out_vals
+                    ) != digest:
+                        self.log.bump("ft_corrupt_payloads")
+                        raise InjectedFault(
+                            f"corrupt chunk payload (range {wid})"
+                        )
+                    injector.fire("writeback", wid, worker=wid)
+                    injector.fire("output_sorting", ANY, worker=wid)
+                    return out + (view.table.probes,)
+
+                def serial_attempt():
+                    view = _private_hty_view(hty)
+                    out = run_range(wid, lo, hi, view)
+                    return out + (view.table.probes,)
+
+                fr, wprofile, stats, probes = _fault_retry(
+                    wid, self.policy, self.log, attempt, serial_attempt,
+                    "range",
+                )
+            accept(wid, fr)
+            return dict(wprofile.counters), stats, probes
+
+        tasks = [(i, lo, hi) for i, (lo, hi) in enumerate(ranges)]
+        if self.threads == 1 or len(tasks) <= 1:
+            outputs = [worker(t) for t in tasks]
+        else:
+            with _ThreadPool(max_workers=self.threads) as pool:
+                outputs = list(pool.map(worker, tasks))
+        self.stats = [s for _, s, _ in outputs]
+        _fold_worker_counters(
+            profile, [c for c, _, _ in outputs],
+            partition_imbalance(px.ptr, ranges), self.log,
+        )
+        if injector is None:
+            return None
+        return sum(p for _, _, p in outputs)
+
+    def close(self) -> None:
+        pass
+
+
+class ProcessExecutor:
+    """Work-stealing chunks on shared-memory worker processes.
+
+    With ``parallel_stage1`` the pool starts before X is prepared and
+    builds the HtY partials first; otherwise it starts when there are
+    chunks to compute.
+    """
+
+    concurrent = True
+
+    def __init__(self, workers: int, *, parallel_stage1: bool,
+                 policy: RecoveryPolicy, log: RecoveryLog,
+                 fault_plan: Optional[FaultPlan],
+                 start_method: Optional[str],
+                 chunks_per_worker: int) -> None:
+        self.workers = int(workers)
+        self.parallel_stage1 = parallel_stage1
+        self.chunks_per_worker = chunks_per_worker
+        self.span_args = {"backend": "process", "threads": self.workers}
+        self.stats: List[ThreadStats] = []
+        self._pool_kwargs = dict(
+            workers=self.workers, start_method=start_method,
+            policy=policy, fault_plan=fault_plan, recovery_log=log,
+        )
+        self._log = log
+        self._pool: Optional[SpartaProcessPool] = None
+        self._stage1_secs: Optional[Dict[int, float]] = None
+
+    def start_hty(self, x, y, plan, num_buckets):
+        if not (self.parallel_stage1 and x.nnz > 0 and y.nnz > 0):
+            return None
+        self._pool = SpartaProcessPool(y=y, cy=plan.cy, **self._pool_kwargs)
+
+        def finish() -> HashTensor:
+            hty, self._stage1_secs = self._pool.build_hty(num_buckets)
+            return hty
+
+        return finish
+
+    def run(self, px, hty, sink, accept, profile, kernel):
+        chunks = partition_subtensors(
+            px.ptr,
+            max(self.workers * max(self.chunks_per_worker, 1),
+                sink.min_ranges, 1),
+        )
+        profile.counters["partition_ranges"] = len(chunks)
+        try:
+            if chunks:
+                if self._pool is None:
+                    self._pool = SpartaProcessPool(**self._pool_kwargs)
+                wchunks = self._pool.run_chunks(px, hty, chunks, accept)
+            else:
+                wchunks = []
+        finally:
+            self.close()
+        self.stats, imbalance = self._worker_stats(px, chunks, wchunks)
+        _fold_worker_counters(
+            profile, [wc.counters for wc in wchunks], imbalance, self._log
+        )
+        return sum(wc.hash_probes for wc in wchunks)
+
+    def _worker_stats(self, px, chunks, wchunks):
+        """Fold per-chunk results into per-worker statistics.
+
+        Workers that stole nothing still get a zero row (the scalability
+        experiments index stats by worker id). Fault recovery can add
+        rows beyond the original worker count: respawned workers carry
+        fresh ids past it, and the parent's serial fallback reports as
+        worker ``-1``; they are appended after the original rows (``-1``
+        last), so an undisturbed run's stats are exactly one row per
+        requested worker. Returns ``(stats, imbalance)``.
+        """
+        workers = self.workers
+        rows: Dict[int, ThreadStats] = {}
+
+        def row(wid: int) -> ThreadStats:
+            return rows.setdefault(wid, ThreadStats(wid, 0, 0, 0, 0, 0.0))
+
+        for wid in range(workers):
+            row(wid)
+        for wid, secs in (self._stage1_secs or {}).items():
             row(wid).stage1_seconds = float(secs)
-    for wc in wchunks:
-        lo, hi = chunks[wc.chunk]
-        s = row(wc.worker)
-        s.subtensors += hi - lo
-        s.nnz_x += int(px.ptr[hi] - px.ptr[lo])
-        s.products += wc.fused.products
-        s.output_nnz += wc.fused.nnz
-        s.seconds += wc.seconds
-    order = list(range(workers))
-    order += sorted(w for w in stats_map if w >= workers)
-    if -1 in stats_map:
-        order.append(-1)
-    stats = [stats_map[wid] for wid in order]
-    loads = [s.nnz_x for s in stats] or [0]
-    mean = sum(loads) / len(loads)
-    imbalance = (max(loads) / mean) if mean else 1.0
-    return (
-        [wc.fused for wc in wchunks],
-        stats,
-        [wc.counters for wc in wchunks],
-        sum(wc.hash_probes for wc in wchunks),
-        imbalance,
-    )
+        for wc in wchunks:
+            lo, hi = chunks[wc.chunk]
+            s = row(wc.worker)
+            s.subtensors += hi - lo
+            s.nnz_x += int(px.ptr[hi] - px.ptr[lo])
+            s.products += wc.products
+            s.output_nnz += wc.nnz
+            s.seconds += wc.seconds
+        order = list(range(workers))
+        order += sorted(w for w in rows if w >= workers)
+        if -1 in rows:
+            order.append(-1)
+        stats = [rows[wid] for wid in order]
+        loads = [s.nnz_x for s in stats] or [0]
+        mean = sum(loads) / len(loads)
+        return stats, (max(loads) / mean) if mean else 1.0
 
-
-def _run_processes(
-    px,
-    hty,
-    workers: int,
-    profile: RunProfile,
-    *,
-    chunks_per_worker: int,
-    start_method: Optional[str],
-    chunking: str,
-    policy: Optional[RecoveryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    log: Optional[RecoveryLog] = None,
-    spill_dir: Optional[str] = None,
-    min_chunks: Optional[int] = None,
-) -> Tuple[
-    List[FusedRange], List[ThreadStats], List[Dict[str, int]], int, float
-]:
-    """Work-stealing chunks on shared-memory worker processes."""
-    chunks = _partition_chunks(
-        px.ptr,
-        max(
-            workers * max(chunks_per_worker, 1), int(min_chunks or 0), 1
-        ),
-        chunking,
-    )
-    profile.counters["partition_ranges"] = len(chunks)
-    wchunks = contract_chunks_in_processes(
-        px,
-        hty,
-        chunks,
-        workers=workers,
-        start_method=start_method,
-        policy=policy,
-        fault_plan=fault_plan,
-        recovery_log=log,
-        spill_dir=spill_dir,
-    ) if chunks else []
-    return _aggregate_worker_chunks(px, chunks, wchunks, workers)
-
-
-def _run_pool_chunks(
-    pool: SpartaProcessPool,
-    px,
-    hty,
-    workers: int,
-    profile: RunProfile,
-    *,
-    chunks_per_worker: int,
-    chunking: str,
-    stage1_secs: Optional[Dict[int, float]],
-    min_chunks: Optional[int] = None,
-) -> Tuple[
-    List[FusedRange], List[ThreadStats], List[Dict[str, int]], int, float
-]:
-    """Stages 2–4 on an already-running two-phase pool."""
-    chunks = _partition_chunks(
-        px.ptr,
-        max(
-            workers * max(chunks_per_worker, 1), int(min_chunks or 0), 1
-        ),
-        chunking,
-    )
-    profile.counters["partition_ranges"] = len(chunks)
-    wchunks = pool.run_chunks(px, hty, chunks)
-    return _aggregate_worker_chunks(
-        px, chunks, wchunks, workers, stage1_secs
-    )
+    def close(self) -> None:
+        if self._pool is not None:
+            self._pool.close()
+            self._pool = None

@@ -12,7 +12,9 @@ from typing import Iterable, List, Tuple
 
 import numpy as np
 
-from repro.errors import ShapeError
+# The sub-tensor partitioner is part of the core pipeline; re-exported
+# here with the rest of the work decomposition.
+from repro.core.common import partition_subtensors
 
 
 def tag_units(
@@ -39,71 +41,16 @@ def select_units(
     return [u for u in units if u[0] in wanted]
 
 
-def partition_subtensors(
-    ptr: np.ndarray,
-    num_workers: int,
-    *,
-    weights: np.ndarray | None = None,
-) -> List[Tuple[int, int]]:
-    """Split sub-tensors ``0..len(ptr)-2`` into ≤ *num_workers* ranges.
+def even_spans(n: int, k: int) -> List[Tuple[int, int]]:
+    """Split ``range(n)`` into <= *k* near-equal contiguous spans.
 
-    ``ptr`` is the fiber-pointer array: sub-tensor *f* holds
-    ``ptr[f+1] - ptr[f]`` non-zeros. Ranges are contiguous (preserving the
-    sorted-X locality) and balanced to ~equal non-zero counts. Returns
-    ``(first_subtensor, last_subtensor_exclusive)`` pairs; fewer than
-    *num_workers* ranges when there are fewer sub-tensors.
-
-    *weights* replaces the per-sub-tensor cost model: when given (one
-    non-negative weight per sub-tensor), ranges balance cumulative weight
-    instead of cumulative nnz. ``weights=None`` is exactly the nnz
-    behaviour.
+    Stage 1 cuts Y's non-zeros this way for the partial HtY builds.
     """
-    if num_workers <= 0:
-        raise ShapeError(f"num_workers must be positive, got {num_workers}")
-    n_sub = int(ptr.shape[0] - 1)
-    if n_sub <= 0:
-        return []
-    if weights is not None:
-        weights = np.asarray(weights, dtype=np.int64)
-        if weights.shape != (n_sub,):
-            raise ShapeError(
-                f"weights must have one entry per sub-tensor "
-                f"({n_sub}), got shape {weights.shape}"
-            )
-        ptr = np.concatenate(([0], np.cumsum(weights)))
-    total = int(ptr[-1] - ptr[0])
-    num_workers = min(num_workers, n_sub)
-    if num_workers == 1 or total == 0:
-        return [(0, n_sub)]
-    # Cut at sub-tensor boundaries closest to equal cumulative-weight
-    # shares (nnz shares by default).
-    targets = (np.arange(1, num_workers) * total) // num_workers
-    cuts = np.searchsorted(ptr[1:], ptr[0] + targets, side="left") + 1
-    bounds = np.unique(np.concatenate(([0], cuts, [n_sub])))
+    k = max(min(int(k), int(n)), 1)
+    bounds = [(i * n) // k for i in range(k + 1)]
     return [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(bounds.shape[0] - 1)
-        if bounds[i + 1] > bounds[i]
-    ]
-
-
-def partition_by_count(n_sub: int, num_chunks: int) -> List[Tuple[int, int]]:
-    """Equal sub-tensor-*count* ranges — the naive baseline.
-
-    Ignores fiber sizes entirely, so skewed tensors land most non-zeros
-    in a few chunks; kept as the comparison point for the size-aware
-    :func:`partition_subtensors` (``parallel_sparta(chunking="count")``).
-    """
-    if num_chunks <= 0:
-        raise ShapeError(f"num_chunks must be positive, got {num_chunks}")
-    n_sub = int(n_sub)
-    if n_sub <= 0:
-        return []
-    num_chunks = min(num_chunks, n_sub)
-    bounds = (np.arange(num_chunks + 1) * n_sub) // num_chunks
-    return [
-        (int(bounds[i]), int(bounds[i + 1]))
-        for i in range(num_chunks)
+        (bounds[i], bounds[i + 1])
+        for i in range(k)
         if bounds[i + 1] > bounds[i]
     ]
 

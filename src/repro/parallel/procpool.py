@@ -17,10 +17,11 @@ genuinely concurrent ``multiprocessing`` workers:
   per-worker ranges when fiber sizes are skewed
   (``partition_imbalance``);
 * each chunk's :class:`~repro.core.kernels.FusedRange` ships back
-  tagged with its chunk id and the parent concatenates in chunk order,
-  so the gathered output is bit-identical to the serial fused engine no
-  matter which worker computed which chunk (chunks snap to sub-tensor
-  boundaries, so no output key ever spans two chunks).
+  tagged with its chunk id and the parent hands it to the pipeline's
+  sink under that id, so the gathered output is bit-identical to the
+  serial fused engine no matter which worker computed which chunk
+  (chunks snap to sub-tensor boundaries, so no output key ever spans
+  two chunks).
 
 Fault tolerance (the recovery half of :mod:`repro.faults`): every
 worker *announces* each claim on the result queue before computing it,
@@ -112,8 +113,10 @@ from repro.hashtable.tensor_table import (
     HashTensor,
     PartialGroups,
     build_partial_groups,
+    split_contract_modes,
 )
-from repro.parallel.partition import select_units, tag_units
+from repro.parallel.partition import even_spans, select_units, tag_units
+from repro.tensor.coo import SparseTensor
 
 #: chunks per worker claimed through the shared counter; >1 so a worker
 #: that drew a light chunk steals more work instead of idling
@@ -477,23 +480,12 @@ def _run_chunk_units(
     conn,
     inj: FaultInjector,
     tracer: Optional[Tracer] = None,
-    spill_dir: Optional[str] = None,
 ) -> None:
     """Claim tagged chunks, run the fused kernel, ship tagged results.
 
     With a *tracer*, each claim leaves an instant event and each fused
     computation a ``chunk`` span on this worker's track, shipped with
     the chunk result (``tracer.drain()``).
-
-    With a *spill_dir* (out-of-core mode) the chunk's arrays are
-    written to a per-worker run file there and only a
-    :class:`~repro.ooc.runfile.FusedRunRef` crosses the pipe — the
-    parent maps the arrays lazily. The spill happens *after* the digest
-    is taken and after fault injection may have corrupted the arrays,
-    so corruption lands in the file and the parent's digest check over
-    the mapped arrays catches it exactly like the in-memory path; the
-    file name carries the worker id, so a respawned worker never
-    collides with a dead one's leftovers.
     """
     clock = time.perf_counter
     while True:
@@ -522,16 +514,6 @@ def _run_chunk_units(
         inj.fire("accumulation", unit)
         digest = payload_digest(fr.out_fgrp, fr.out_fy, fr.out_vals)
         inj.maybe_corrupt("accumulation", unit, (fr.out_vals,))
-        payload = fr
-        if spill_dir is not None:
-            from repro.ooc.runfile import spill_fused_range
-
-            payload = spill_fused_range(
-                fr,
-                os.path.join(
-                    spill_dir, f"chunk{int(unit):05d}_w{wid}.run"
-                ),
-            )
         spans = None
         if tracer is not None:
             tracer.add_span(
@@ -550,7 +532,7 @@ def _run_chunk_units(
                 "chunk",
                 wid,
                 unit,
-                payload,
+                fr,
                 dict(wprofile.counters),
                 hty.table.probes - probes0,
                 t1 - t0,
@@ -571,109 +553,53 @@ def _worker_tracer(wid: int, trace: bool) -> Optional[Tracer]:
     return tracer
 
 
-def _span_worker_main(
-    wid: int,
-    yspec: SharedYSpec,
-    units: Sequence[Tuple[int, int, int]],
-    counter,
-    conn,
-    fault_plan: Optional[FaultPlan] = None,
-    trace: bool = False,
-) -> None:
-    """Standalone stage-1 worker (used by respawn rounds)."""
-    blocks: List[shared_memory.SharedMemory] = []
-    tracer = _worker_tracer(wid, trace)
-    try:
-        inj = FaultInjector(fault_plan, wid, tracer=tracer)
-        y_idx = _attach_array(yspec.indices, blocks)
-        y_val = _attach_array(yspec.values, blocks)
-        _run_span_units(
-            wid, y_idx, y_val, yspec, units, counter, conn, inj, tracer
-        )
-        _send(
-            conn,
-            ("done", wid, tracer.drain() if tracer else None),
-        )
-    except BaseException:
-        _send(conn, ("error", wid, traceback.format_exc()))
-    finally:
-        _release_blocks(blocks, unlink=False)
-
-
-def _chunk_worker_main(
-    wid: int,
-    spec: SharedOperandSpec,
-    units: Sequence[Tuple[int, int, int]],
-    counter,
-    conn,
-    fault_plan: Optional[FaultPlan] = None,
-    trace: bool = False,
-    spill_dir: Optional[str] = None,
-) -> None:
-    """Single-phase chunk worker: claim tagged chunks until none remain."""
-    blocks: List[shared_memory.SharedMemory] = []
-    tracer = _worker_tracer(wid, trace)
-    try:
-        inj = FaultInjector(fault_plan, wid, tracer=tracer)
-        px, hty = attach_operands(spec, blocks)
-        _run_chunk_units(
-            wid, px, hty, units, counter, conn, inj, tracer, spill_dir
-        )
-        _send(
-            conn,
-            ("done", wid, tracer.drain() if tracer else None),
-        )
-    except BaseException:
-        _send(conn, ("error", wid, traceback.format_exc()))
-    finally:
-        _release_blocks(blocks, unlink=False)
-
-
 def _pool_worker_main(
     wid: int,
-    yspec: SharedYSpec,
-    units: Sequence[Tuple[int, int, int]],
-    counter_a,
-    counter_b,
+    yspec: Optional[SharedYSpec],
+    span_units: Sequence[Tuple[int, int, int]],
+    span_counter,
+    chunk_counter,
     conn,
     fault_plan: Optional[FaultPlan] = None,
     trace: bool = False,
-    spill_dir: Optional[str] = None,
 ) -> None:
-    """Two-phase worker: build stage-1 partials, then compute chunks.
+    """The pool's one worker: stage-1 spans, then fused chunks.
 
-    Phase A claims tagged Y spans through ``counter_a`` and ships each
-    span's :class:`~repro.hashtable.tensor_table.PartialGroups` back to
-    the parent (which merges them into HtY while this worker idles on
-    its pipe). Phase B starts when the parent sends this worker the
-    exported operands and tagged chunk list over the same duplex pipe;
-    it is the same claim loop as :func:`_chunk_worker_main`.
+    With a *yspec*, the worker first claims tagged Y spans through
+    *span_counter* and ships each span's
+    :class:`~repro.hashtable.tensor_table.PartialGroups` back to the
+    parent (which merges them into HtY while this worker idles on its
+    pipe), then reports ``phase_done``. With a *chunk_counter*, it then
+    waits for the parent to send the exported operands and tagged chunk
+    list over the same duplex pipe, and claims chunks through the
+    counter until none remain. Respawned workers run one phase each:
+    spans only (no *chunk_counter*) or chunks only (no *yspec*).
     """
     blocks: List[shared_memory.SharedMemory] = []
     tracer = _worker_tracer(wid, trace)
     try:
         inj = FaultInjector(fault_plan, wid, tracer=tracer)
-        y_idx = _attach_array(yspec.indices, blocks)
-        y_val = _attach_array(yspec.values, blocks)
-        _run_span_units(
-            wid, y_idx, y_val, yspec, units, counter_a, conn, inj, tracer
-        )
-        _send(
-            conn,
-            ("phase_done", wid, tracer.drain() if tracer else None),
-        )
-
-        try:
-            task = conn.recv()
-        except (EOFError, OSError):  # parent tore the pool down
-            return
-        if task[0] == "chunks":
-            _, spec, chunk_units = task
+        if yspec is not None:
+            y_idx = _attach_array(yspec.indices, blocks)
+            y_val = _attach_array(yspec.values, blocks)
+            _run_span_units(
+                wid, y_idx, y_val, yspec, span_units, span_counter, conn,
+                inj, tracer,
+            )
+            _send(
+                conn,
+                ("phase_done", wid, tracer.drain() if tracer else None),
+            )
+        if chunk_counter is not None:
+            try:
+                _, spec, chunk_units = conn.recv()
+            except (EOFError, OSError):  # parent tore the pool down
+                return
             if spec is not None and chunk_units:
                 px, hty = attach_operands(spec, blocks)
                 _run_chunk_units(
-                    wid, px, hty, chunk_units, counter_b, conn, inj,
-                    tracer, spill_dir,
+                    wid, px, hty, chunk_units, chunk_counter, conn, inj,
+                    tracer,
                 )
         _send(
             conn,
@@ -690,11 +616,16 @@ def _pool_worker_main(
 # ----------------------------------------------------------------------
 @dataclass
 class WorkerChunk:
-    """One chunk's result, tagged with who computed it."""
+    """One accepted chunk's statistics, tagged with who computed it.
+
+    The output arrays went to the caller's ``accept`` when the chunk
+    was accepted; only the numbers stay here.
+    """
 
     worker: int
     chunk: int
-    fused: FusedRange
+    products: int
+    nnz: int
     counters: Dict[str, int]
     hash_probes: int
     seconds: float
@@ -738,16 +669,13 @@ def _start_worker(ctx, method: str, target, args) -> mp.process.BaseProcess:
 
 def _start_piped_worker(
     ctx, method: str, target, pre_args, fault_plan, trace: bool = False,
-    extra: tuple = (),
 ) -> Tuple[mp.process.BaseProcess, mp_connection.Connection]:
     """Start a worker with its own duplex pipe; return (proc, conn).
 
-    The worker receives ``(*pre_args, child_end, fault_plan, trace,
-    *extra)`` — *extra* carries trailing optional arguments such as the
-    out-of-core spill directory. The parent closes its copy of the
-    child end immediately after the start so that the worker's exit
-    (clean or killed) severs the connection and the parent observes EOF
-    instead of blocking forever.
+    The worker receives ``(*pre_args, child_end, fault_plan, trace)``.
+    The parent closes its copy of the child end immediately after the
+    start so that the worker's exit (clean or killed) severs the
+    connection and the parent observes EOF instead of blocking forever.
     """
     parent_conn, child_conn = ctx.Pipe(duplex=True)
     try:
@@ -755,7 +683,7 @@ def _start_piped_worker(
             ctx,
             method,
             target,
-            (*pre_args, child_conn, fault_plan, trace, *extra),
+            (*pre_args, child_conn, fault_plan, trace),
         )
     except BaseException:
         _close_conn(parent_conn)
@@ -1066,7 +994,9 @@ def _recover_units(
 
 
 def _make_chunk_handler(
-    results: Dict[int, WorkerChunk], log: RecoveryLog
+    results: Dict[int, WorkerChunk],
+    log: RecoveryLog,
+    accept: Callable[[int, FusedRange], None],
 ) -> Callable[[tuple], bool]:
     """Digest-checking, first-accepted-wins handler for chunk messages."""
 
@@ -1075,23 +1005,14 @@ def _make_chunk_handler(
         unit = int(unit)
         if unit in results:
             return True  # duplicate of an accepted chunk: ignore
-        if not isinstance(fr, FusedRange):
-            # Out-of-core mode: a FusedRunRef pointing at a per-worker
-            # spill file. Map it; a truncated/unsealed file (worker
-            # killed mid-write) counts as a corrupt payload and goes
-            # through the same recovery as a digest mismatch.
-            from repro.ooc.runfile import load_fused_ref
-
-            try:
-                fr = load_fused_ref(fr)
-            except Exception:
-                return False
         if payload_digest(fr.out_fgrp, fr.out_fy, fr.out_vals) != digest:
             return False
+        accept(unit, fr)
         results[unit] = WorkerChunk(
             worker=int(wid),
             chunk=unit,
-            fused=fr,
+            products=int(fr.products),
+            nnz=fr.nnz,
             counters=counters,
             hash_probes=int(probes),
             seconds=float(secs),
@@ -1103,15 +1024,17 @@ def _make_chunk_handler(
 
 
 class SpartaProcessPool:
-    """Persistent two-phase worker pool for the all-parallel pipeline.
+    """Persistent worker pool for the parallel pipeline.
 
-    Construction exports Y's COO arrays to shared memory and starts the
-    workers, which immediately begin claiming stage-1 spans — so the
-    parent overlaps its own X preparation with the partial builds. The
-    parent then calls :meth:`drain_partials` (collect and merge inputs
-    for HtY), :meth:`run_chunks` (broadcast the exported operands, run
-    stages 2–4, gather in chunk order) and :meth:`close` (always, in a
-    ``finally``). One pool start-up cost covers all five stages.
+    Construction starts the workers. Given *y* (and its contract modes
+    *cy*), it first exports Y's COO arrays to shared memory and the
+    workers immediately begin claiming stage-1 spans — so the parent
+    overlaps its own X preparation with the partial builds — and the
+    parent collects them with :meth:`build_hty`. Without *y* the
+    workers wait for chunks. :meth:`run_chunks` then broadcasts the
+    exported operands, runs stages 2–4 and hands every accepted chunk
+    to the caller; :meth:`close` (always, in a ``finally``) tears the
+    pool down. One pool start-up cost covers all five stages.
 
     *policy* governs failure recovery in both phases (see
     :class:`RecoveryPolicy`); *fault_plan* injects deterministic faults
@@ -1122,27 +1045,18 @@ class SpartaProcessPool:
 
     def __init__(
         self,
-        y_indices: np.ndarray,
-        y_values: np.ndarray,
-        contract_modes: Sequence[int],
-        free_modes: Sequence[int],
-        contract_dims: Sequence[int],
-        free_dims: Sequence[int],
-        spans: Sequence[Tuple[int, int]],
         *,
         workers: int,
+        y: Optional[SparseTensor] = None,
+        cy: Sequence[int] = (),
         start_method: Optional[str] = None,
         policy: Optional[RecoveryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
         recovery_log: Optional[RecoveryLog] = None,
-        spill_dir: Optional[str] = None,
     ) -> None:
         self.workers = int(workers)
         self.policy = policy or RecoveryPolicy()
         self.fault_plan = fault_plan
-        #: out-of-core: chunk-phase workers spill their fused outputs
-        #: here and ship FusedRunRefs instead of arrays
-        self.spill_dir = spill_dir
         self.log = recovery_log or RecoveryLog()
         #: workers record + ship their own spans iff the attached log
         #: carries a tracer (the executor sets log.tracer)
@@ -1150,24 +1064,22 @@ class SpartaProcessPool:
         self._blocks: List[shared_memory.SharedMemory] = []
         self._procs: Dict[int, mp.process.BaseProcess] = {}
         self._conns: Dict[int, mp_connection.Connection] = {}
-        self._span_units = tag_units(spans)
         self._next_wid = self.workers
         # Kept for the serial stage-1 fallback (degraded mode rebuilds
         # missing spans in the parent from the original arrays).
-        self._y_indices = y_indices
-        self._y_values = y_values
+        self._y = y
+        self._yspec: Optional[SharedYSpec] = None
+        self._span_units: List[Tuple[int, int, int]] = []
         self._method = resolve_start_method(start_method)
         self._ctx = ctx = mp.get_context(self._method)
         try:
-            self._yspec = yspec = export_y(
-                y_indices,
-                y_values,
-                contract_modes,
-                free_modes,
-                contract_dims,
-                free_dims,
-                self._blocks,
-            )
+            if y is not None:
+                self._yspec = export_y(
+                    y.indices, y.values,
+                    *split_contract_modes(y.order, y.shape, cy),
+                    self._blocks,
+                )
+                self._span_units = tag_units(even_spans(y.nnz, workers))
             # Both counters must stay referenced for the pool's lifetime:
             # spawn/forkserver children unpickle their args *after*
             # __init__ returns, and a collected Value unlinks its
@@ -1181,14 +1093,13 @@ class SpartaProcessPool:
                     _pool_worker_main,
                     (
                         wid,
-                        yspec,
+                        self._yspec,
                         self._span_units,
                         self._counter_a,
                         self._counter_b,
                     ),
                     self.fault_plan,
                     self._trace,
-                    extra=(self.spill_dir,),
                 )
                 self._procs[wid] = p
                 self._conns[wid] = conn
@@ -1204,22 +1115,27 @@ class SpartaProcessPool:
             if p.exitcode is None
         }
 
-    # ------------------------------------------------------------------
-    def drain_partials(
-        self, *, timeout: Optional[float] = None
-    ) -> Tuple[List[PartialGroups], Dict[int, float]]:
-        """Collect every span's partial grouping, in span order.
+    def _policy(self, timeout: Optional[float]) -> RecoveryPolicy:
+        if timeout is None:
+            return self.policy
+        return _dc_replace(self.policy, timeout=timeout)
 
-        Returns ``(partials, seconds)`` where ``seconds[wid]`` is the
-        stage-1 compute time worker *wid* spent across its claimed
-        spans. Spans owned by failed workers are reassigned (respawned
-        stage-1 workers, then — policy permitting — a serial rebuild in
-        the parent); the merged HtY is bit-identical either way because
+    # ------------------------------------------------------------------
+    def build_hty(
+        self,
+        num_buckets: Optional[int] = None,
+        *,
+        timeout: Optional[float] = None,
+    ) -> Tuple[HashTensor, Dict[int, float]]:
+        """Collect every span's partial grouping and merge them into HtY.
+
+        Returns ``(hty, seconds)`` where ``seconds[wid]`` is the stage-1
+        compute time worker *wid* spent across its claimed spans. Spans
+        owned by failed workers are reassigned (respawned stage-1
+        workers, then — policy permitting — a serial rebuild in the
+        parent); the merged HtY is bit-identical either way because
         partials are pure functions of their span bounds.
         """
-        policy = self.policy
-        if timeout is not None:
-            policy = _dc_replace(policy, timeout=timeout)
         partials: Dict[int, PartialGroups] = {}
         seconds: Dict[int, float] = {wid: 0.0 for wid in self._procs}
 
@@ -1246,16 +1162,16 @@ class SpartaProcessPool:
             return _start_piped_worker(
                 self._ctx,
                 self._method,
-                _span_worker_main,
-                (wid, yspec, subset, counter),
+                _pool_worker_main,
+                (wid, yspec, subset, counter, None),
                 self.fault_plan,
                 self._trace,
             )
 
         def serial(unit, lo, hi):
             partials[unit] = build_partial_groups(
-                self._y_indices,
-                self._y_values,
+                self._y.indices,
+                self._y.values,
                 yspec.contract_modes,
                 yspec.free_modes,
                 yspec.contract_dims,
@@ -1274,15 +1190,18 @@ class SpartaProcessPool:
             round0_done_tag="phase_done",
             spawn_worker=spawn,
             serial_unit=serial,
-            policy=policy,
+            policy=self._policy(timeout),
             ctx=self._ctx,
             log=self.log,
             next_wid=self._next_wid,
         )
-        return (
+        hty = HashTensor.merge_partials(
             [partials[i] for i in range(len(self._span_units))],
-            seconds,
+            yspec.free_dims,
+            yspec.contract_dims,
+            num_buckets=num_buckets,
         )
+        return hty, seconds
 
     # ------------------------------------------------------------------
     def run_chunks(
@@ -1290,27 +1209,29 @@ class SpartaProcessPool:
         px: PreparedX,
         hty: HashTensor,
         chunks: Sequence[Tuple[int, int]],
+        accept: Callable[[int, FusedRange], None],
         *,
         timeout: Optional[float] = None,
     ) -> List[WorkerChunk]:
-        """Broadcast operands, run stages 2–4, gather in chunk order.
+        """Broadcast operands, run stages 2–4, accept chunks once each.
 
-        Must be called exactly once, after :meth:`drain_partials`; the
-        workers exit when their claim loop drains. An empty *chunks*
-        still releases the workers (they exit without computing).
-        Chunks owned by failed workers are recomputed by respawned
-        workers (or serially in the parent once retries exhaust, policy
-        permitting) over their original boundaries — the gather by
-        chunk id keeps the output bit-identical regardless of who
-        computed what.
+        Must be called exactly once, after :meth:`build_hty` when the
+        pool has a stage-1 phase; the workers exit when their claim
+        loop drains. An empty *chunks* still releases the workers (they
+        exit without computing). Each chunk's output goes to
+        ``accept(chunk_id, fused_range)`` the first time a
+        digest-checked copy of it arrives. Chunks owned by failed
+        workers are recomputed by respawned workers (or serially in the
+        parent once retries exhaust, policy permitting) over their
+        original boundaries, so the output stays bit-identical
+        regardless of who computed what. Returns per-chunk statistics
+        in chunk order.
         """
-        policy = self.policy
-        if timeout is not None:
-            policy = _dc_replace(policy, timeout=timeout)
         units = tag_units(chunks)
         spec = (
             export_operands(px, hty, self._blocks) if units else None
         )
+        task = ("chunks", spec, units)
         alive = self._alive()
         for wid in list(alive):
             conn = self._conns.get(wid)
@@ -1318,23 +1239,27 @@ class SpartaProcessPool:
                 del alive[wid]  # failed earlier; pipe already closed
                 continue
             try:
-                conn.send(("chunks", spec, units))
+                conn.send(task)
             except (BrokenPipeError, OSError):
                 pass  # exited since the liveness check; drain handles it
         results: Dict[int, WorkerChunk] = {}
-        handle = _make_chunk_handler(results, self.log)
+        handle = _make_chunk_handler(results, self.log, accept)
         clock = time.perf_counter
 
         def spawn(wid, subset, counter):
-            return _start_piped_worker(
+            p, conn = _start_piped_worker(
                 self._ctx,
                 self._method,
-                _chunk_worker_main,
-                (wid, spec, subset, counter),
+                _pool_worker_main,
+                (wid, None, (), None, counter),
                 self.fault_plan,
                 self._trace,
-                extra=(self.spill_dir,),
             )
+            try:
+                conn.send(("chunks", spec, subset))
+            except (BrokenPipeError, OSError):
+                pass  # died at start-up; the drain reports it
+            return p, conn
 
         def serial(unit, lo, hi):
             t0 = clock()
@@ -1350,10 +1275,12 @@ class SpartaProcessPool:
                 hi=hi,
                 clock=clock,
             )
+            accept(unit, fr)
             results[unit] = WorkerChunk(
                 worker=-1,
                 chunk=unit,
-                fused=fr,
+                products=int(fr.products),
+                nnz=fr.nnz,
                 counters=dict(wprofile.counters),
                 hash_probes=hty.table.probes - probes0,
                 seconds=clock() - t0,
@@ -1369,7 +1296,7 @@ class SpartaProcessPool:
             round0_done_tag="done",
             spawn_worker=spawn,
             serial_unit=serial,
-            policy=policy,
+            policy=self._policy(timeout),
             ctx=self._ctx,
             log=self.log,
             next_wid=self._next_wid,
@@ -1390,127 +1317,3 @@ class SpartaProcessPool:
         self._conns = {}
         _release_blocks(self._blocks, unlink=True)
         self._blocks = []
-
-
-def contract_chunks_in_processes(
-    px: PreparedX,
-    hty: HashTensor,
-    chunks: Sequence[Tuple[int, int]],
-    *,
-    workers: int,
-    start_method: Optional[str] = None,
-    timeout: Optional[float] = None,
-    policy: Optional[RecoveryPolicy] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    recovery_log: Optional[RecoveryLog] = None,
-    spill_dir: Optional[str] = None,
-) -> List[WorkerChunk]:
-    """Run :func:`fused_compute` over *chunks* on *workers* processes.
-
-    Returns one :class:`WorkerChunk` per input chunk, **in chunk
-    order** — the deterministic gather that keeps process-parallel
-    output bit-identical to the serial fused engine. Worker failures
-    go through the :class:`RecoveryPolicy` machinery (reassignment,
-    bounded respawn, serial degradation); worker exceptions raise
-    :class:`~repro.errors.WorkerCrashError` and an irrecoverable pool
-    raises :class:`~repro.errors.PoolDegradedError` (both subclasses of
-    :class:`~repro.errors.ParallelError`). The pool is torn down (never
-    left hanging) and all shared blocks are closed and unlinked before
-    returning or raising.
-    """
-    if not chunks:
-        return []
-    policy = policy or RecoveryPolicy()
-    if timeout is not None:
-        policy = _dc_replace(policy, timeout=timeout)
-    log = recovery_log if recovery_log is not None else RecoveryLog()
-    trace = getattr(log, "tracer", None) is not None
-    method = resolve_start_method(start_method)
-    ctx = mp.get_context(method)
-    blocks: List[shared_memory.SharedMemory] = []
-    procs: Dict[int, mp.process.BaseProcess] = {}
-    all_conns: List[mp_connection.Connection] = []
-    clock = time.perf_counter
-    try:
-        spec = export_operands(px, hty, blocks)
-        counter = ctx.Value("q", 0)
-        units = tag_units(chunks)
-        conns: Dict[int, mp_connection.Connection] = {}
-        for wid in range(workers):
-            p, conn = _start_piped_worker(
-                ctx,
-                method,
-                _chunk_worker_main,
-                (wid, spec, units, counter),
-                fault_plan,
-                trace,
-                extra=(spill_dir,),
-            )
-            procs[wid] = p
-            conns[wid] = conn
-            all_conns.append(conn)
-
-        results: Dict[int, WorkerChunk] = {}
-        handle = _make_chunk_handler(results, log)
-
-        def spawn(wid, subset, sub_counter):
-            p, conn = _start_piped_worker(
-                ctx,
-                method,
-                _chunk_worker_main,
-                (wid, spec, subset, sub_counter),
-                fault_plan,
-                trace,
-                extra=(spill_dir,),
-            )
-            all_conns.append(conn)
-            return p, conn
-
-        def serial(unit, lo, hi):
-            t0 = clock()
-            probes0 = hty.table.probes
-            wprofile = RunProfile("sparta_parallel-serial-fallback")
-            fr = fused_compute(
-                px,
-                hty,
-                y_structure="hash",
-                accumulator="hash",
-                profile=wprofile,
-                lo=lo,
-                hi=hi,
-                clock=clock,
-            )
-            results[unit] = WorkerChunk(
-                worker=-1,
-                chunk=unit,
-                fused=fr,
-                counters=dict(wprofile.counters),
-                hash_probes=hty.table.probes - probes0,
-                seconds=clock() - t0,
-            )
-
-        _recover_units(
-            units=units,
-            completed=set(results),
-            handle=handle,
-            payload_tag="chunk",
-            round0_procs=dict(procs),
-            round0_conns=conns,
-            round0_done_tag="done",
-            spawn_worker=spawn,
-            serial_unit=serial,
-            policy=policy,
-            ctx=ctx,
-            log=log,
-        )
-        for p in procs.values():
-            p.join(timeout=10.0)
-        return [results[i] for i in range(len(units))]
-    finally:
-        for p in procs.values():
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5.0)
-        for conn in all_conns:
-            _close_conn(conn)
-        _release_blocks(blocks, unlink=True)

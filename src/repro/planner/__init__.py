@@ -10,10 +10,9 @@ in an LRU beside the HtY/plan/kernel caches and surface through the
 tracer (a ``plan`` span) and ``MetricsRegistry`` (``planner.*``
 metrics, ``cache.planner.*``).
 
-Entry points: ``contract(plan="auto")``, ``parallel_sparta`` (the
-``REPRO_PLANNER`` env contract), ``ContractionSequence.run(plan=...)``
-with greedy pairwise path search (:mod:`repro.planner.path`), and
-``ttt --plan auto --explain-plan``.
+Entry points: ``contract(plan="auto")`` (the one routing point),
+``ContractionSequence.run(plan=...)`` with greedy pairwise path search
+(:mod:`repro.planner.path`), and ``ttt --plan auto --explain-plan``.
 """
 
 from repro.planner.calibration import (

@@ -83,7 +83,6 @@ ALLOWED_OPTIONS = frozenset(
         "sort_output",
         "num_buckets",
         "use_hty_cache",
-        "planner",
         "max_retries",
         "on_failure",
         "memory_budget",

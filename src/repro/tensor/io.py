@@ -104,8 +104,7 @@ def read_tns_chunks(
     For files too large to hold at once: each yielded
     :class:`SparseTensor` has the full declared *shape* (required —
     per-chunk inference would disagree across chunks) and a contiguous
-    subset of the non-zeros. Pairs with
-    :func:`repro.core.streaming.contract_streaming` for out-of-core Y.
+    subset of the non-zeros.
     """
     if chunk_nnz <= 0:
         raise FormatError(f"chunk_nnz must be positive, got {chunk_nnz}")

@@ -114,13 +114,12 @@ def build_parser() -> argparse.ArgumentParser:
         "--placement", default="sparta", metavar="POLICY",
         choices=(
             "sparta", "ial", "dynamic:lookahead", "dynamic:ewma",
-            "dynamic:inclusive", "dynamic:hybrid",
         ),
         help="placement policy for the heterogeneous-memory simulation "
              "(EXPERIMENT_MODES=4): 'sparta' (static §4.2 priority, "
              "default), 'ial' (reactive hotness comparator) or "
              "'dynamic:<policy>' for the migration engine "
-             "(lookahead | ewma | inclusive | hybrid); non-default "
+             "(lookahead | ewma); non-default "
              "policies print their per-stage schedule, migrations and "
              "simulated seconds next to the static references",
     )

@@ -26,7 +26,6 @@ from repro.core.codegen import (
 )
 from repro.core.dispatch import contract
 from repro.core.profile import RunProfile
-from repro.errors import ContractionError
 from repro.parallel import parallel_sparta
 from repro.tensor import random_tensor
 from repro.tensor.linearize import delinearize
@@ -247,6 +246,12 @@ class TestKillSwitch:
 
 
 class TestPlannerGuard:
+    """``contract(plan="auto")`` is the one routing point.
+
+    An explicit ``parallel_sparta`` call runs the configuration it asks
+    for, and records the planner as off.
+    """
+
     def small_case(self):
         x = random_tensor((8, 7, 6), 60, seed=5)
         y = random_tensor((6, 9), 40, seed=6)
@@ -254,68 +259,41 @@ class TestPlannerGuard:
 
     def test_small_contraction_routes_serial(self):
         x, y, cx, cy = self.small_case()
-        par = parallel_sparta(x, y, cx, cy, threads=4, planner="auto")
-        profile = par.result.profile
-        assert profile.flags["planner"] == "serial_small"
+        res = contract(
+            x, y, cx, cy, method="parallel", plan="auto", threads=4
+        )
+        profile = res.profile
+        assert profile.flags["planner"] == "auto:serial"
         assert profile.counters["planner_est_products"] >= 0
-        assert par.backend == "serial"
-        assert par.threads == 1
-        # synthetic per-worker stats row stays consumable
-        (row,) = par.thread_stats
-        assert row.worker == 0
-        assert row.nnz_x == x.nnz
-        assert row.products == profile.counters["products"]
-        assert row.output_nnz == par.result.tensor.nnz
-        # engine label is unchanged for downstream consumers
-        assert profile.engine == "sparta_parallel"
+        assert profile.engine == "sparta"
 
     def test_planner_off_keeps_parallel_machinery(self):
         x, y, cx, cy = self.small_case()
-        par = parallel_sparta(x, y, cx, cy, threads=4, planner="off")
+        par = parallel_sparta(x, y, cx, cy, threads=4)
         assert par.backend == "thread"
-        # The flag is always present now; "off" records the disabled
-        # planner explicitly.
         assert par.result.profile.flags["planner"] == "off"
 
     def test_routed_run_bit_identical_to_parallel(self):
         x, y, cx, cy = self.small_case()
-        routed = parallel_sparta(x, y, cx, cy, threads=4, planner="auto")
-        full = parallel_sparta(x, y, cx, cy, threads=4, planner="off")
-        a, b = routed.result.tensor.sort(), full.result.tensor.sort()
+        routed = contract(
+            x, y, cx, cy, method="parallel", plan="auto", threads=4
+        )
+        full = parallel_sparta(x, y, cx, cy, threads=4)
+        a, b = routed.tensor.sort(), full.result.tensor.sort()
         np.testing.assert_array_equal(a.indices, b.indices)
         np.testing.assert_array_equal(
             a.values.view(np.uint64), b.values.view(np.uint64)
         )
 
-    def test_env_default_and_validation(self, monkeypatch):
-        x, y, cx, cy = self.small_case()
-        monkeypatch.setenv("REPRO_PLANNER", "auto")
-        par = parallel_sparta(x, y, cx, cy, threads=4)
-        assert par.result.profile.flags["planner"] == "serial_small"
-        with pytest.raises(ContractionError):
-            parallel_sparta(x, y, cx, cy, planner="bogus")
-
-    def test_fault_plan_disables_routing(self):
-        from repro.faults import FaultPlan
-
-        x, y, cx, cy = self.small_case()
-        plan = FaultPlan.from_seed(1, workers=2)
-        par = parallel_sparta(
-            x, y, cx, cy, threads=2, planner="auto", fault_plan=plan
-        )
-        assert par.backend == "thread"
-        # A fault plan disables routing and the flag records it as off.
-        assert par.result.profile.flags["planner"] == "off"
-
     def test_large_contraction_stays_parallel(self):
         x = random_tensor((40, 30, 12, 10), 18_000, seed=7)
         y = random_tensor((12, 10, 25, 20), 16_000, seed=8)
-        par = parallel_sparta(
-            x, y, (2, 3), (0, 1), threads=2, planner="auto"
+        res = contract(
+            x, y, (2, 3), (0, 1), method="parallel", plan="auto",
+            threads=2,
         )
-        assert par.backend == "thread"
-        assert par.result.profile.flags["planner"] == "auto:thread"
-        assert par.result.profile.counters["planner_est_products"] > 0
+        assert res.profile.flags["planner"] == "auto:thread"
+        assert res.profile.counters["planner_est_products"] > 0
 
 
 class TestWorkerWarmup:
@@ -327,7 +305,6 @@ class TestWorkerWarmup:
         y = random_tensor((10, 8, 15, 12), 4_500, seed=12)
         par = parallel_sparta(
             x, y, (2, 3), (0, 1), threads=2, backend="process",
-            planner="off",
         )
         c = par.result.profile.counters
         chunks = c.get("codegen_dense_chunks", 0) + c.get(

@@ -240,8 +240,7 @@ class TestParallelAndOutOfCore:
     @pytest.mark.parametrize("seed", range(3))
     def test_parallel_gather_is_presorted(self, seed):
         x, y, cx, cy = _random_pair(100 + seed)
-        par = parallel_sparta(x, y, cx, cy, threads=3, backend="thread",
-                              planner="off")
+        par = parallel_sparta(x, y, cx, cy, threads=3, backend="thread")
         counters = par.result.profile.counters
         assert counters.get("output_merge_concat", 0) + counters.get(
             "output_merge_empty", 0) == 1

@@ -9,14 +9,7 @@ import numpy as np
 import pytest
 
 from repro.errors import SpillError
-from repro.ooc import (
-    FusedRunRef,
-    RunFileReader,
-    RunFileWriter,
-    SpillManager,
-    load_fused_ref,
-    spill_fused_range,
-)
+from repro.ooc import RunFileReader, RunFileWriter, SpillManager
 
 
 def _arrays(seed, n):
@@ -87,46 +80,6 @@ class TestRunFileRoundtrip:
             RunFileReader(path)
 
 
-class TestFusedSpill:
-    def test_spill_and_load_roundtrip(self, tmp_path):
-        from repro.core.kernels import FusedRange
-
-        arrays = _arrays(6, 300)
-        fr = FusedRange(
-            out_fgrp=arrays["fgrp"],
-            out_fy=arrays["fy"],
-            out_vals=arrays["vals"],
-            products=1234,
-            accum_probes=77,
-            max_group_output=9,
-            spa_peak_bytes=4096,
-            search_seconds=0.5,
-            accum_seconds=0.25,
-        )
-        path = str(tmp_path / "chunk.run")
-        ref = spill_fused_range(fr, path)
-        assert isinstance(ref, FusedRunRef)
-        assert ref.nnz == 300 and ref.products == 1234
-        back = load_fused_ref(ref)
-        assert back.out_fgrp.tobytes() == fr.out_fgrp.tobytes()
-        assert back.out_fy.tobytes() == fr.out_fy.tobytes()
-        assert back.out_vals.tobytes() == fr.out_vals.tobytes()
-        assert back.products == fr.products
-        assert back.accum_probes == fr.accum_probes
-        assert back.search_seconds == fr.search_seconds
-
-    def test_load_unsealed_ref_raises(self, tmp_path):
-        path = str(tmp_path / "chunk.run")
-        open(path, "wb").write(b"SPTCRUN1")  # header only, no seal
-        ref = FusedRunRef(
-            path=path, nnz=10, products=0, accum_probes=0,
-            max_group_output=0, spa_peak_bytes=0,
-            search_seconds=0.0, accum_seconds=0.0,
-        )
-        with pytest.raises(SpillError):
-            load_fused_ref(ref)
-
-
 class TestSpillManager:
     def test_lifecycle_and_counters(self, tmp_path):
         spill = SpillManager(str(tmp_path))
@@ -150,15 +103,3 @@ class TestSpillManager:
             p1 = spill.path("chunk.run")
             p2 = spill.path("chunk.run")
             assert p1 != p2
-
-    def test_account_file(self, tmp_path):
-        with SpillManager(str(tmp_path)) as spill:
-            path = spill.path("b.run")
-            w = RunFileWriter(path)
-            w.append_run(_arrays(8, 32))
-            w.append_run(_arrays(9, 8))
-            w.close()
-            spill.account_file(path).close()
-            c = spill.counters()
-            assert c["ooc_runs"] == 2
-            assert c["ooc_spill_bytes"] == os.path.getsize(path)

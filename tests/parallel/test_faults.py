@@ -129,9 +129,9 @@ class TestKillRecovery:
     def test_process_backend_survives_kill_without_pool(
         self, pair, serial, stage, shm_leak_check
     ):
-        # parallel_stage1=False takes the single-phase
-        # contract_chunks_in_processes path; stage-1 faults cannot fire
-        # there (stage 1 runs in the parent) but must not break it.
+        # parallel_stage1=False starts the pool chunk-only; stage-1
+        # faults cannot fire there (stage 1 runs in the parent) but
+        # must not break it.
         x, y = pair
         par = parallel_sparta(
             x, y, *MODES,

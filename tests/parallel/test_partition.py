@@ -4,11 +4,7 @@ import numpy as np
 import pytest
 
 from repro.errors import ShapeError
-from repro.parallel import (
-    partition_by_count,
-    partition_imbalance,
-    partition_subtensors,
-)
+from repro.parallel import partition_imbalance, partition_subtensors
 
 
 def _ptr(sizes):
@@ -141,80 +137,6 @@ class TestWeights:
     def test_bad_weights_shape(self):
         with pytest.raises(ShapeError):
             partition_subtensors(_ptr([1, 2, 3]), 2, weights=np.array([1]))
-
-
-class TestPartitionByCount:
-    def test_equal_counts(self):
-        ranges = partition_by_count(10, 3)
-        covered = [i for lo, hi in ranges for i in range(lo, hi)]
-        assert covered == list(range(10))
-        counts = [hi - lo for lo, hi in ranges]
-        assert max(counts) - min(counts) <= 1
-
-    def test_more_chunks_than_subtensors(self):
-        ranges = partition_by_count(3, 8)
-        assert len(ranges) == 3
-
-    def test_empty_and_invalid(self):
-        assert partition_by_count(0, 4) == []
-        with pytest.raises(ShapeError):
-            partition_by_count(5, 0)
-
-    def test_ignores_skew_where_nnz_partition_balances(self):
-        # The satellite claim: size-aware chunking beats the equal-count
-        # baseline on skewed fiber-size distributions.
-        ptr = _ptr([1000] + [1] * 99)
-        by_count = partition_by_count(100, 4)
-        by_nnz = partition_subtensors(ptr, 4)
-        assert partition_imbalance(ptr, by_nnz) < partition_imbalance(
-            ptr, by_count
-        )
-
-
-class TestChunkingExecutor:
-    def test_nnz_chunking_beats_count_on_skewed_input(self):
-        # End-to-end: a tensor whose first fiber holds most of X's
-        # non-zeros must balance better under chunking="nnz" than under
-        # the naive chunking="count", per the load_imbalance diagnostic.
-        from repro.parallel import parallel_sparta
-        from repro.tensor import SparseTensor
-
-        rng = np.random.default_rng(17)
-        hot = np.column_stack(
-            (
-                np.zeros(600, dtype=np.int64),
-                rng.integers(0, 40, size=600),
-            )
-        )
-        cold_rows = np.repeat(np.arange(1, 31, dtype=np.int64), 2)
-        cold = np.column_stack(
-            (cold_rows, rng.integers(0, 40, size=cold_rows.size))
-        )
-        idx = np.vstack((hot, cold))
-        x = SparseTensor(
-            idx, rng.random(idx.shape[0]), (31, 40)
-        ).coalesce()
-        y_idx = np.column_stack(
-            (
-                rng.integers(0, 40, size=800),
-                rng.integers(0, 25, size=800),
-            )
-        ).astype(np.int64)
-        y = SparseTensor(y_idx, rng.random(800), (40, 25)).coalesce()
-        runs = {
-            chunking: parallel_sparta(
-                x, y, (1,), (0,),
-                threads=4, chunking=chunking, chunks_per_worker=1,
-            )
-            for chunking in ("nnz", "count")
-        }
-        zs = runs["nnz"].result.tensor
-        zc = runs["count"].result.tensor
-        np.testing.assert_array_equal(zs.indices, zc.indices)
-        np.testing.assert_array_equal(zs.values, zc.values)
-        assert (
-            runs["nnz"].load_imbalance < runs["count"].load_imbalance
-        )
 
 
 class TestImbalance:

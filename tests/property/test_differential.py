@@ -5,8 +5,8 @@ so for any randomized case they must agree. For coalesced inputs the
 hash-family engines (element / fused / subtensor_loop, SPA, COO+HtA,
 vectorized, and both parallel backends) reduce each output key in the
 same X-row order and are therefore *bit-identical*: same sorted index
-array, same value bytes. The streaming engine and the dense tensordot
-reference sum in a different order, so they are held to allclose only.
+array, same value bytes. The dense tensordot reference sums in a
+different order, so it is held to allclose only.
 
 Each case is a deterministic function of an explicit seed; the seed is
 part of the test id, so a failure report names the exact reproducing
@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.core import contract, contract_streaming, split_tensor
+from repro.core import contract
 from repro.core.sparta import sparta
 from repro.faults import FaultPlan
 from repro.parallel import parallel_sparta
@@ -77,11 +77,11 @@ def run_engine(name: str, x, y, cx, cy) -> SparseTensor:
         res = contract(x, y, cx, cy, method=name)
     elif name == "parallel_thread":
         res = parallel_sparta(
-            x, y, cx, cy, threads=3, planner="off"
+            x, y, cx, cy, threads=3
         ).result
     elif name == "parallel_process":
         res = parallel_sparta(
-            x, y, cx, cy, threads=2, backend="process", planner="off"
+            x, y, cx, cy, threads=2, backend="process"
         ).result
     else:  # pragma: no cover - guard against typos in ENGINE lists
         raise ValueError(name)
@@ -110,18 +110,6 @@ class TestDifferential:
     @pytest.mark.parametrize(
         "seed", SEEDS[:6], ids=[f"seed{s}" for s in SEEDS[:6]]
     )
-    def test_streaming_allclose(self, seed):
-        x, y, cx, cy = make_case(seed)
-        if y.nnz == 0:
-            pytest.skip("streaming requires at least one Y partition")
-        ref = run_engine("element", x, y, cx, cy)
-        parts = split_tensor(y, max(min(y.nnz, 3), 1))
-        res = contract_streaming(x, parts, cx, cy, method="sparta")
-        assert res.tensor.allclose(ref, atol=1e-10), f"seed={seed}"
-
-    @pytest.mark.parametrize(
-        "seed", SEEDS[:6], ids=[f"seed{s}" for s in SEEDS[:6]]
-    )
     def test_dense_reference_allclose(self, seed):
         x, y, cx, cy = make_case(seed)
         ref = run_engine("element", x, y, cx, cy)
@@ -135,7 +123,6 @@ class TestDifferential:
             for workers in (1, 2, 5):
                 par = parallel_sparta(
                     x, y, cx, cy, threads=workers, backend=backend,
-                    planner="off",
                 )
                 assert_bit_identical(
                     par.result.tensor.sort(), ref,
@@ -158,7 +145,6 @@ class TestDifferential:
                     threads=3, backend=backend,
                     parallel_stage1=parallel_stage1,
                     merge_output=merge_output,
-                    planner="off",
                 )
                 assert_bit_identical(
                     par.result.tensor.sort(), ref,
@@ -174,7 +160,7 @@ class TestDifferential:
         for workers in (1, 2, 3, 4, 6):
             par = parallel_sparta(
                 x, y, cx, cy, threads=workers, backend="thread",
-                parallel_stage1=True, planner="off",
+                parallel_stage1=True,
             )
             assert_bit_identical(
                 par.result.tensor.sort(), ref, f"workers={workers}"
@@ -245,7 +231,6 @@ class TestCodegenDifferential:
         for codegen in (False, True):
             par = parallel_sparta(
                 x, y, cx, cy, threads=3, codegen=codegen,
-                planner="off",
             )
             assert_bit_identical(
                 par.result.tensor.sort(), ref,
@@ -356,7 +341,7 @@ class TestPlannerDifferential:
             workers = auto.profile.counters["planner_workers"]
             explicit = parallel_sparta(
                 x, y, cx, cy,
-                threads=workers, backend=engine, planner="off",
+                threads=workers, backend=engine,
             ).result
         assert_bit_identical(
             auto.tensor.sort(), explicit.tensor.sort(),
@@ -389,11 +374,10 @@ class TestPlannerDifferential:
                 x, y, cx, cy, method="sparta", swap_larger_to_y=False
             )),
             ("thread3", parallel_sparta(
-                x, y, cx, cy, threads=3, planner="off"
+                x, y, cx, cy, threads=3
             ).result),
             ("process2", parallel_sparta(
                 x, y, cx, cy, threads=2, backend="process",
-                planner="off",
             ).result),
         ):
             assert traffic_cells(res.profile) == base, (
@@ -452,11 +436,10 @@ class TestOocDifferential:
         x, y, cx, cy = make_case(seed)
         base = parallel_sparta(
             x, y, cx, cy, threads=workers, backend=backend,
-            planner="off",
         )
         ooc = parallel_sparta(
             x, y, cx, cy, threads=workers, backend=backend,
-            planner="off", memory_budget="256K", force_spill=True,
+            memory_budget="256K", force_spill=True,
         )
         assert ooc.result.profile.flags.get("ooc") == "spill"
         assert_bit_identical(
@@ -545,7 +528,6 @@ SERVE_OPTION_SETS = (
             "method": "parallel",
             "threads": 2,
             "backend": "thread",
-            "planner": "off",
         },
     ),
 )

@@ -71,8 +71,7 @@ class TestExactness:
         for options in (
             {"method": "spa"},
             {"method": "coo_hta"},
-            {"method": "parallel", "threads": 2, "backend": "thread",
-             "planner": "off"},
+            {"method": "parallel", "threads": 2, "backend": "thread"},
             {"sort_output": False},
         ):
             direct = contract(x, y, cx, cy, **options)

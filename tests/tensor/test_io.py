@@ -2,6 +2,7 @@
 
 import io
 
+import numpy as np
 import pytest
 
 from repro.errors import FormatError
@@ -82,9 +83,12 @@ class TestChunkedRead:
         chunks = list(read_tns_chunks(path, t.shape, chunk_nnz=17))
         assert all(c.shape == t.shape for c in chunks)
         assert sum(c.nnz for c in chunks) == t.nnz
-        from repro.core.streaming import merge_outputs
-
-        assert merge_outputs(chunks).allclose(t)
+        merged = SparseTensor(
+            np.concatenate([c.indices for c in chunks]),
+            np.concatenate([c.values for c in chunks]),
+            t.shape,
+        ).coalesce()
+        assert merged.allclose(t)
 
     def test_single_chunk_when_large(self, tmp_path):
         t = random_tensor((5, 5), 10, seed=6)
@@ -93,24 +97,6 @@ class TestChunkedRead:
         chunks = list(read_tns_chunks(path, t.shape, chunk_nnz=10**6))
         assert len(chunks) == 1
         assert chunks[0].allclose(t)
-
-    def test_streaming_contraction_from_file(self, tmp_path):
-        """Out-of-core end to end: chunked read feeds the streaming
-        contraction and matches the in-memory result."""
-        from repro.core import contract
-        from repro.core.streaming import contract_streaming
-
-        x = random_tensor((6, 7), 20, seed=7)
-        y = random_tensor((7, 8), 120, seed=8)
-        path = tmp_path / "y.tns"
-        write_tns(y, path)
-        ref = contract(x, y, (1,), (0,), method="vectorized")
-        res = contract_streaming(
-            x, read_tns_chunks(path, y.shape, chunk_nnz=25), (1,), (0,)
-        )
-        assert res.tensor.allclose(ref.tensor)
-        expected_parts = -(-y.nnz // 25)  # ceil division
-        assert res.profile.counters["streaming_parts"] == expected_parts
 
     def test_order_mismatch_rejected(self, tmp_path):
         t = random_tensor((4, 4), 6, seed=9)

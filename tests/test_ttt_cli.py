@@ -79,7 +79,6 @@ class TestTTT:
 
     @pytest.mark.parametrize("policy", [
         "dynamic:lookahead", "dynamic:ewma",
-        "dynamic:inclusive", "dynamic:hybrid",
     ])
     def test_dynamic_placement_mode_4(self, tns_pair, capsys,
                                       monkeypatch, policy):
@@ -118,11 +117,10 @@ class TestTTT:
         monkeypatch.setenv("EXPERIMENT_MODES", "4")
         assert main(["-X", xp, "-Y", yp, "-m", "2",
                      "-x", "2", "3", "-y", "0", "1",
-                     "--placement", "dynamic:inclusive",
+                     "--placement", "dynamic:ewma",
                      "--metrics", str(mp)]) == 0
         payload = json.loads(mp.read_text())
-        assert payload["memory.migration.policy"] == "inclusive"
-        assert payload["memory.migration.inclusive"] == 1
+        assert payload["memory.migration.policy"] == "ewma"
         assert payload["memory.migration.runs"] == 1
 
 

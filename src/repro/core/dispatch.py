@@ -30,6 +30,24 @@ from repro.errors import ContractionError
 from repro.obs.tracer import CAT_CONTRACTION, Tracer
 from repro.tensor.coo import SparseTensor
 
+#: parallel_sparta keywords that steer only its workers; a
+#: ``plan="auto"`` run drops them when the planner picks the serial
+#: engine, which has no workers
+_WORKER_ONLY = frozenset(
+    {
+        "chunks_per_worker",
+        "fault_plan",
+        "max_retries",
+        "on_failure",
+        "start_method",
+        "timeout",
+        "unit_timeout",
+    }
+)
+#: parallel_sparta keywords whose value ``plan="auto"`` chooses itself
+_PLANNED = ("backend", "merge_output", "parallel_stage1")
+
+
 def _parallel_engine(
     x: SparseTensor,
     y: SparseTensor,
@@ -96,7 +114,10 @@ def _contract_auto(
     chosen; see :func:`repro.planner.enumerate_plans`). The decision is
     recorded as a ``plan`` span on the tracer,
     ``flags["planner"] = "auto:<engine>"`` and the
-    ``planner_est_products``/``planner_candidates`` counters.
+    ``planner_est_products``/``planner_candidates`` counters. Worker
+    keywords (retries, faults, timeouts, start method) reach only a
+    parallel engine; a ``backend=``, ``parallel_stage1=`` or
+    ``merge_output=`` would override the plan and is refused.
     """
     import time
 
@@ -107,6 +128,12 @@ def _contract_auto(
             f'plan="auto" plans the sparta-family schedule space; '
             f"method {method!r} is an explicit engine choice — drop "
             "plan= or use method='sparta'"
+        )
+    fixed = [k for k in _PLANNED if k in kwargs]
+    if fixed:
+        raise ContractionError(
+            f'plan="auto" chooses {", ".join(fixed)} itself; drop the '
+            "keyword or drop plan="
         )
     max_workers = kwargs.pop("max_workers", None)
     threads = kwargs.pop("threads", None)
@@ -129,6 +156,7 @@ def _contract_auto(
         kwargs.setdefault("hty_cache", default_hty_cache())
     chosen = decision.chosen
     if chosen.engine == "serial":
+        kwargs = {k: v for k, v in kwargs.items() if k not in _WORKER_ONLY}
         if memory_budget is not None:
             from repro.ooc.engine import ooc_contract
 

@@ -4,8 +4,9 @@
 callers look up (``perfbench/spans.py``), and a traced run fails when an
 entry point required on its workload never runs. This test loads that
 module by path, unedited, and runs one default ``contract()`` on a tiny
-case shaped like each library workload, so moving a call behind another
-name fails here rather than only in the traced benchmark run.
+case shaped like each library workload, and one served request over
+TCP for serve-tcp, so moving a call behind another name fails here
+rather than only in the traced benchmark run.
 """
 
 import importlib.util
@@ -51,3 +52,24 @@ def test_required_entry_points_run(spans_module, workload, tmp_path):
     if "memory_budget" in kwargs:
         assert res.profile.flags["ooc"] == "spill"
     assert recorder.uncovered() == []
+
+
+def test_serve_tcp_client_decodes_through_the_wrapped_name(spans_module):
+    from repro.serve import ServeConfig, SpTCServer, TcpServeServer
+    from repro.serve.net import TcpServeClient
+
+    case = make_case("uber", 3, scale=0.02, seed=1)
+    front = TcpServeServer(
+        SpTCServer(ServeConfig(workers=1, execution="inline"))
+    )
+    with front, TcpServeClient(front.url, timeout=30.0) as client:
+        recorder = spans_module.SpanRecorder("serve-tcp")
+        recorder.install()
+        try:
+            resp = client.submit(case.x, case.y, case.cx, case.cy)
+        finally:
+            recorder.uninstall()
+    assert recorder.uncovered() == []
+    assert resp.tensor.fingerprint() == contract(
+        case.x, case.y, case.cx, case.cy
+    ).tensor.fingerprint()

@@ -128,7 +128,6 @@ def _kernel_region(case):
             px.fx_rows,
             plan,
             profile,
-            codegen=codegen,
         )
         return z, profile
 

@@ -4,7 +4,7 @@ CI runs this under ``python -W error``: any warning a generated kernel
 raises (numpy deprecations, overflow warnings from a bad literal fold,
 syntax deprecations in the emitted source) fails the job. Every
 rendering branch is exercised — power-of-two and non-power-of-two free
-spaces, single- and multi-mode delinearizers, and all three runtime
+spaces, single- and multi-mode free sets, and all three runtime
 strategies (dense workspace, packed quicksort, lexsort fallback) — and
 each variant's output is checked against the generic stable reduction,
 so a template edit that compiles but mis-specializes is caught here
@@ -20,10 +20,8 @@ import numpy as np
 from repro.core.codegen import (
     KernelSignature,
     compile_kernel,
-    render_delinearizer,
     render_fused_kernel,
 )
-from repro.tensor.linearize import delinearize
 
 #: free-mode extent sets covering every specialization branch:
 #: pow2 space (shift/mask), non-pow2 (mul/div), mixed per-mode strides
@@ -105,26 +103,6 @@ def check_fused(free_dims, contract_dims) -> set:
     return seen
 
 
-def check_delinearizer(free_dims) -> None:
-    if int(np.prod(free_dims)) > (1 << 40):
-        return  # delinearizers only ever see in-range LN keys
-    delin = compile_kernel(
-        render_delinearizer(free_dims), "delinearize_fy",
-        label=f"check:{free_dims}",
-    )
-    rng = np.random.default_rng(7)
-    keys = rng.integers(
-        0, int(np.prod(free_dims)), size=256
-    ).astype(np.int64)
-    out = np.empty((keys.shape[0], len(free_dims)), dtype=np.int64)
-    delin(keys, out)
-    if not np.array_equal(out, delinearize(keys, free_dims)):
-        raise SystemExit(
-            f"FAIL delinearizer free_dims={free_dims}: "
-            f"differs from generic delinearize"
-        )
-
-
 def main() -> int:
     variants = 0
     strategies = set()
@@ -132,8 +110,6 @@ def main() -> int:
         for contract_dims in CONTRACT_DIM_SETS:
             strategies |= check_fused(free_dims, contract_dims)
             variants += 1
-        check_delinearizer(free_dims)
-        variants += 1
     missing = {"dense", "packed", "lexsort"} - strategies
     if missing:
         raise SystemExit(

@@ -1,12 +1,11 @@
 """Per-signature kernel specialization (ROADMAP: "Kernel codegen").
 
 The generic fused kernel in :mod:`repro.core.kernels` is shape-agnostic:
-every contraction pays the same branchy index packing, two-key
-``np.lexsort`` segmentation and delinearization loop regardless of its
-signature. This package emits Python/numpy *source* specialized to one
-contraction signature — the LN free-space extent, its power-of-two
-shifts/masks and the per-mode delinearization strides are folded in as
-literals — compiles it with :func:`compile`/``exec`` and caches the
+every contraction pays the same branchy index packing and two-key
+``np.lexsort`` segmentation regardless of its signature. This package
+emits Python/numpy *source* specialized to one contraction signature —
+the LN free-space extent and its power-of-two shifts/masks are folded
+in as literals — compiles it with :func:`compile`/``exec`` and caches the
 function objects in a bounded :class:`KernelCache` (built on the same
 LRU machinery as the HtY/plan caches in :mod:`repro.core.htycache`).
 
@@ -44,10 +43,7 @@ from repro.core.codegen.cache import (
     kernel_cache_stats,
 )
 from repro.core.codegen.signature import KernelSignature
-from repro.core.codegen.templates import (
-    render_delinearizer,
-    render_fused_kernel,
-)
+from repro.core.codegen.templates import render_fused_kernel
 
 __all__ = [
     "KernelCache",
@@ -56,7 +52,6 @@ __all__ = [
     "compile_kernel",
     "default_kernel_cache",
     "kernel_cache_stats",
-    "render_delinearizer",
     "render_fused_kernel",
 ]
 

@@ -3,8 +3,7 @@
 Rendering plus ``compile()``/``exec`` costs tens of microseconds —
 cheap, but paid per *chunk* without a cache (a parallel run issues
 hundreds). The cache is keyed by the full
-:class:`~repro.core.codegen.signature.KernelSignature` (fused kernels)
-or the free-mode extents (delinearizers), so ``contract``,
+:class:`~repro.core.codegen.signature.KernelSignature`, so ``contract``,
 ``ContractionSequence``, ``cp_als`` and both parallel backends hit warm
 kernels after the first call with a given signature.
 
@@ -25,13 +24,10 @@ profile counters.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Optional
 
 from repro.core.codegen.signature import KernelSignature
-from repro.core.codegen.templates import (
-    render_delinearizer,
-    render_fused_kernel,
-)
+from repro.core.codegen.templates import render_fused_kernel
 from repro.core.htycache import CacheStats, LRUCache
 
 __all__ = [
@@ -82,16 +78,9 @@ class KernelCache:
     def clear(self) -> None:
         self._lru.clear()
 
-    # ------------------------------------------------------------------
-    def _get(
-        self,
-        key: Tuple,
-        render: Callable[[], str],
-        entry: str,
-        label: str,
-        profile,
-    ):
-        fn = self._lru.get(key, _MISSING)
+    def get_fused_kernel(self, sig: KernelSignature, profile=None):
+        """Compiled ``fused_chunk`` for *sig* (rendering on miss)."""
+        fn = self._lru.get(sig, _MISSING)
         if fn is not _MISSING:
             if profile is not None:
                 profile.bump("kernel_cache_hits")
@@ -99,30 +88,12 @@ class KernelCache:
         if profile is not None:
             profile.bump("kernel_cache_misses")
             profile.bump("kernel_compiles")
-        fn = compile_kernel(render(), entry, label=label)
-        self._lru.put(key, fn)
+        fn = compile_kernel(
+            render_fused_kernel(sig), "fused_chunk",
+            label=f"fused:{sig.free_dims}",
+        )
+        self._lru.put(sig, fn)
         return fn
-
-    def get_fused_kernel(self, sig: KernelSignature, profile=None):
-        """Compiled ``fused_chunk`` for *sig* (rendering on miss)."""
-        return self._get(
-            ("fused", sig),
-            lambda: render_fused_kernel(sig),
-            "fused_chunk",
-            f"fused:{sig.free_dims}",
-            profile,
-        )
-
-    def get_delinearizer(self, fy_dims: Sequence[int], profile=None):
-        """Compiled ``delinearize_fy`` for *fy_dims* (rendering on miss)."""
-        dims = tuple(int(d) for d in fy_dims)
-        return self._get(
-            ("delin", dims),
-            lambda: render_delinearizer(dims),
-            "delinearize_fy",
-            f"delin:{dims}",
-            profile,
-        )
 
 
 #: process-wide cache every call site defaults to (one per process —

@@ -3,12 +3,9 @@
 Everything emitted here is plain Python/numpy source with the
 signature's constants folded in as literals:
 
-* the LN free-space extent ``FY_SPACE`` (and, when it is a power of
-  two, the equivalent shift/mask) used to pack ``(sub-tensor, LN(Fy))``
-  into one int64 key and to unpack the reduced keys;
-* the per-mode delinearization strides (shift/mask literals for
-  power-of-two strides, ``//``/multiply-subtract otherwise), unrolled
-  to one statement pair per output mode.
+the LN free-space extent ``FY_SPACE`` (and, when it is a power of two,
+the equivalent shift/mask) used to pack ``(sub-tensor, LN(Fy))`` into
+one int64 key, and to unpack the dense workspace's keys.
 
 Bit-identity contract (pinned by ``tests/property/test_differential.py``):
 every strategy sums each output key's contributions in X-row order —
@@ -22,8 +19,9 @@ generated kernels are byte-interchangeable with the generic fused path:
 * ``packed`` appends the source position to the packed key
   (``comb = (pk << shift) | arange(n)``), making every combined key
   unique, so an *unstable* ``np.sort`` reproduces exactly the stable
-  order; the sparse-duplicate epilogue seeds each key with its first
-  contribution (``+ 0.0``, matching bincount's ``0.0 + v`` for the
+  order; each output key's ``(seg, fy)`` and first value are read at
+  its first contribution, the sparse-duplicate epilogue seeds the key
+  with that value (``+ 0.0``, matching bincount's ``0.0 + v`` for the
   ``-0.0`` edge case) and ``np.add.at``s the rare duplicates in
   ascending position order;
 * ``lexsort`` is the generic stable two-key sort + weighted bincount,
@@ -36,9 +34,9 @@ which changes the floating-point result.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Sequence
 
-__all__ = ["render_delinearizer", "render_fused_kernel"]
+__all__ = ["render_fused_kernel"]
 
 
 def _pow2_log(value: int) -> Optional[int]:
@@ -68,10 +66,12 @@ def render_fused_kernel(sig) -> str:
     log2fy = _pow2_log(fy_space)
     if log2fy is not None:
         pack = f"(rel << {log2fy}) + fy"
+        pack_inplace = f"comb <<= {log2fy}"
         unpack_grp = f"pk_u >> {log2fy}"
         unpack_fy = f"pk_u & {fy_space - 1}"
     else:
         pack = f"rel * {fy_space} + fy"
+        pack_inplace = f"comb *= {fy_space}"
         unpack_grp = f"pk_u // {fy_space}"
         unpack_fy = f"pk_u - grp * {fy_space}"
     return f'''\
@@ -107,40 +107,46 @@ def fused_chunk(vals, fy, seg, dense_threshold, workspace_cap):
     if wspace <= (1 << (63 - shift)):
         # Index-embedded quicksort: the source position in the low
         # bits makes every combined key unique, so the unstable sort
-        # lands in exactly the stable (pk, position) order.
-        rel = seg - seg0
-        comb = (({pack}) << shift) | np.arange(n, dtype=np.int64)
+        # lands in exactly the stable (pk, position) order. The key is
+        # packed in place in one buffer, which the sort then splits
+        # into source positions (perm) and packed keys.
+        comb = seg - seg0
+        {pack_inplace}
+        comb += fy
+        comb <<= shift
+        comb |= np.arange(n, dtype=np.int64)
         comb.sort(kind="quicksort")
-        pk_s = comb >> shift
         perm = comb & ((1 << shift) - 1)
+        comb >>= shift
         mask = np.empty(n, dtype=bool)
         mask[0] = True
-        np.not_equal(pk_s[1:], pk_s[:-1], out=mask[1:])
+        np.not_equal(comb[1:], comb[:-1], out=mask[1:])
+        del comb
         boundary = np.flatnonzero(mask)
-        vals_s = vals[perm]
+        # Each output key's first contribution carries its (seg, fy).
+        first = perm[boundary]
         dups = n - boundary.shape[0]
         if dups * 8 < n:
             # Sparse-duplicate epilogue: seed each key with its first
             # contribution (+0.0 normalizes a lone -0.0 exactly like
             # bincount's 0.0+v), then fold the rare duplicates in
             # ascending position order — the same left-to-right order.
-            o_vals = vals_s[boundary] + 0.0
+            o_vals = vals[first]
+            o_vals += 0.0
             if dups:
                 dup_idx = np.flatnonzero(~mask)
                 np.add.at(
                     o_vals,
                     np.searchsorted(boundary, dup_idx, "right") - 1,
-                    vals_s[dup_idx],
+                    vals[perm[dup_idx]],
                 )
         else:
             o_vals = np.bincount(
                 np.cumsum(mask) - 1,
-                weights=vals_s,
+                weights=vals[perm],
                 minlength=boundary.shape[0],
             )
-        pk_u = pk_s[boundary]
-        grp = {unpack_grp}
-        return grp + seg0, {unpack_fy}, o_vals, "packed"
+        return seg[first], fy[first], o_vals, "packed"
     # Packed key would overflow int64: generic stable two-key sort.
     perm = np.lexsort((fy, seg))
     seg_s = seg[perm]
@@ -157,46 +163,3 @@ def fused_chunk(vals, fy, seg, dense_threshold, workspace_cap):
     return seg_s[boundary], fy_s[boundary], o_vals, "lexsort"
 '''
 
-
-def render_delinearizer(fy_dims: Tuple[int, ...]) -> str:
-    """Source of an unrolled LN(Fy) → per-mode-index decoder.
-
-    The generated ``delinearize_fy(keys, out)`` writes mode *j*'s
-    indices into ``out[:, j]`` with the row-major strides of *fy_dims*
-    folded in as literals — shift/mask pairs where the stride is a
-    power of two, ``//`` plus multiply-subtract otherwise. Arithmetic
-    is identical to :func:`repro.tensor.linearize.delinearize` for the
-    non-negative keys LN produces.
-    """
-    k = len(fy_dims)
-    if k == 0:
-        raise ValueError("delinearizer needs at least one free mode")
-    strides = [_prod(fy_dims[j + 1:]) for j in range(k)]
-    lines = []
-    src = "keys"
-    for j, stride in enumerate(strides):
-        if j == k - 1:
-            lines.append(f"    out[:, {j}] = {src}")
-            break
-        log2 = _pow2_log(stride)
-        if log2 is not None:
-            lines.append(f"    q = {src} >> {log2}")
-            lines.append(f"    out[:, {j}] = q")
-            lines.append(f"    rem = {src} & {stride - 1}")
-        else:
-            lines.append(f"    q = {src} // {stride}")
-            lines.append(f"    out[:, {j}] = q")
-            lines.append(f"    rem = {src} - q * {stride}")
-        src = "rem"
-    body = "\n".join(lines)
-    return f'''\
-"""Generated LN delinearizer — do not edit; re-render instead.
-
-free_dims: {tuple(int(d) for d in fy_dims)}
-strides:   {tuple(strides)}
-"""
-
-
-def delinearize_fy(keys, out):
-{body}
-'''

@@ -44,8 +44,18 @@ _WORKER_ONLY = frozenset(
         "unit_timeout",
     }
 )
-#: parallel_sparta keywords whose value ``plan="auto"`` chooses itself
-_PLANNED = ("backend", "merge_output", "parallel_stage1")
+#: keywords whose value ``plan="auto"`` chooses itself (the planner
+#: never swaps the operands)
+_PLANNED = ("backend", "merge_output", "parallel_stage1", "swap_larger_to_y")
+#: sparta keywords parallel_sparta does not take; a ``plan="auto"`` run
+#: refuses them whichever engine the planner picks
+_SERIAL_ONLY = (
+    "accumulator_buckets",
+    "dense_threshold",
+    "granularity",
+    "workspace_cap",
+    "x_format",
+)
 
 
 def _parallel_engine(
@@ -116,8 +126,12 @@ def _contract_auto(
     ``flags["planner"] = "auto:<engine>"`` and the
     ``planner_est_products``/``planner_candidates`` counters. Worker
     keywords (retries, faults, timeouts, start method) reach only a
-    parallel engine; a ``backend=``, ``parallel_stage1=`` or
-    ``merge_output=`` would override the plan and is refused.
+    parallel engine; a ``backend=``, ``parallel_stage1=``,
+    ``merge_output=`` or ``swap_larger_to_y=`` would override the plan
+    and is refused, as is a keyword only the serial engine takes
+    (``granularity=``, ``accumulator_buckets=``, ``workspace_cap=``,
+    ``dense_threshold=``, ``x_format=``), before planning, so the
+    outcome does not depend on the engine the planner picks.
     """
     import time
 
@@ -134,6 +148,12 @@ def _contract_auto(
         raise ContractionError(
             f'plan="auto" chooses {", ".join(fixed)} itself; drop the '
             "keyword or drop plan="
+        )
+    serial_only = [k for k in _SERIAL_ONLY if k in kwargs]
+    if serial_only:
+        raise ContractionError(
+            f'plan="auto" may pick a parallel engine, which does not take '
+            f'{", ".join(serial_only)}; drop the keyword or drop plan='
         )
     max_workers = kwargs.pop("max_workers", None)
     threads = kwargs.pop("threads", None)

@@ -389,52 +389,46 @@ def _concat(parts: List[np.ndarray], dtype) -> np.ndarray:
     return out.astype(dtype, copy=False)
 
 
-def assemble_fused(
-    out_fgrp: np.ndarray,
-    out_fy: np.ndarray,
-    out_vals: np.ndarray,
+def write_z_rows(
+    indices: np.ndarray,
+    fgrp: np.ndarray,
+    fy: np.ndarray,
     fx_rows: np.ndarray,
+    fy_dims,
+) -> None:
+    """Fill Z's index rows ``indices`` from output keys ``(fgrp, fy)``.
+
+    The stage-4 writer of both sinks: each free-X column is one 1-D
+    gather of that column of ``fx_rows`` (a 2-D fancy row gather copies
+    through a strided temporary and takes several times as long), and
+    the Fy columns are LN(Fy) delinearized straight into place.
+    """
+    nfx = fx_rows.shape[1]
+    for j in range(nfx):
+        indices[:, j] = fx_rows[:, j][fgrp]
+    delinearize(fy, fy_dims, out=indices[:, nfx:])
+
+
+def record_writeback(
     plan: ContractionPlan,
     profile: RunProfile,
-    *,
+    total: int,
     zlocal_peak_bytes: Optional[int] = None,
-    codegen: Optional[bool] = None,
-    kernel_cache: Optional[KernelCache] = None,
-) -> SparseTensor:
-    """Vectorized stage-4 writeback with `assemble_output`'s accounting.
+) -> None:
+    """Stage-4 accounting for a Z of *total* non-zeros: one sequential
+    read of Z_local and one sequential write of Z (Table 2).
 
     ``zlocal_peak_bytes`` overrides the recorded Z_local object size for
-    callers whose locals are per-thread (parallel executor); the default
-    is the single-local size, identical to the serial loop path.
-    ``codegen`` (same semantics as in :func:`fused_compute`) swaps the
-    generic per-mode delinearization loop for an unrolled generated
-    decoder with the strides folded in — identical integer arithmetic.
+    callers whose locals are per-worker; the default is the single-local
+    size, identical to the serial loop path.
     """
-    total = int(out_fy.shape[0])
-    nfx = len(plan.fx)
-    indices = np.empty((total, plan.out_order), dtype=INDEX_DTYPE)
-    values = out_vals.astype(VALUE_DTYPE, copy=False)
-    if total:
-        indices[:, :nfx] = fx_rows[out_fgrp]
-        if _codegen_resolved(codegen) and plan.fy_dims:
-            cache = kernel_cache or default_kernel_cache()
-            delin = cache.get_delinearizer(plan.fy_dims, profile)
-            delin(
-                out_fy.astype(INDEX_DTYPE, copy=False),
-                indices[:, nfx:],
-            )
-        else:
-            indices[:, nfx:] = delinearize(out_fy, plan.fy_dims)
-    z = SparseTensor(
-        indices, values, plan.out_shape, copy=False, validate=False
-    )
     rowb = coo_row_bytes(plan.out_order)
     profile.bump("nnz_z", total)
     profile.note_object_bytes(DataObject.Z, total * rowb)
-    zl_bytes = total * (8 * nfx + 16)
     profile.note_object_bytes(
         DataObject.Z_LOCAL,
-        zl_bytes if zlocal_peak_bytes is None else zlocal_peak_bytes,
+        total * (8 * len(plan.fx) + 16)
+        if zlocal_peak_bytes is None else zlocal_peak_bytes,
     )
     profile.record_traffic(
         DataObject.Z_LOCAL, Stage.WRITEBACK, AccessKind.READ,
@@ -444,6 +438,32 @@ def assemble_fused(
         DataObject.Z, Stage.WRITEBACK, AccessKind.WRITE,
         AccessPattern.SEQUENTIAL, total * rowb,
     )
+
+
+def assemble_fused(
+    out_fgrp: np.ndarray,
+    out_fy: np.ndarray,
+    out_vals: np.ndarray,
+    fx_rows: np.ndarray,
+    plan: ContractionPlan,
+    profile: RunProfile,
+    *,
+    zlocal_peak_bytes: Optional[int] = None,
+) -> SparseTensor:
+    """Vectorized stage-4 writeback with `assemble_output`'s accounting.
+
+    Z's index rows are written once by :func:`write_z_rows`; Z adopts
+    *out_vals* as its values. ``zlocal_peak_bytes`` is passed to
+    :func:`record_writeback`.
+    """
+    total = int(out_fy.shape[0])
+    indices = np.empty((total, plan.out_order), dtype=INDEX_DTYPE)
+    write_z_rows(indices, out_fgrp, out_fy, fx_rows, plan.fy_dims)
+    z = SparseTensor(
+        indices, out_vals.astype(VALUE_DTYPE, copy=False), plan.out_shape,
+        copy=False, validate=False,
+    )
+    record_writeback(plan, profile, total, zlocal_peak_bytes)
     return z
 
 

@@ -105,16 +105,20 @@ class InlineExecutor:
     def run(self, px, source, sink, accept, profile, kernel):
         """Compute every range through *sink* and hand it to *accept*.
 
-        Returns None: the probes are the shared table's own count.
+        Returns the run's HtY probe count: the ranges probe one private
+        view of the table (0 when Y is searched as sorted COO).
         """
         n = sink.min_ranges
         ranges = (
             [(0, px.num_subtensors)] if n <= 1
             else partition_subtensors(px.ptr, n)
         )
+        hashed = isinstance(source, HashTensor)
+        if hashed:
+            source = source.probe_view()
         for i, (lo, hi) in enumerate(ranges):
             accept(i, sink.compute(px, source, profile, lo, hi, kernel))
-        return None
+        return source.table.probes if hashed else 0
 
     def close(self) -> None:
         pass
@@ -156,7 +160,7 @@ class MemorySink:
         self._runs[index] = fr
 
     def writeback(self, fx_rows, plan, profile, *, sort_output,
-                  zlocal_peak_bytes, codegen, tracer, clock):
+                  zlocal_peak_bytes, tracer, clock):
         """Stage 4: gather the ranges into Z.
 
         Returns ``(z, order, merge_seconds)``. *order* says what stage 5
@@ -192,7 +196,7 @@ class MemorySink:
         del runs
         z = assemble_fused(
             fgrp, fy, vals, fx_rows, plan, profile,
-            zlocal_peak_bytes=zlocal_peak_bytes, codegen=codegen,
+            zlocal_peak_bytes=zlocal_peak_bytes,
         )
         return z, order, merge_seconds
 
@@ -336,9 +340,6 @@ def looped_contract(
             if budget is not None:
                 # A cached HtY is held for this run like a fresh one.
                 held["hty"] = budget.charge("hty", _resident_nbytes(hty))
-            # A cached HtY arrives with probe counts from earlier runs;
-            # charge only this contraction's chain walks.
-            hty_probes0 = hty.table.probes
         t1 = clock()
         profile.add_time(Stage.INPUT_PROCESSING, t1 - t0)
         tr.add_span(Stage.INPUT_PROCESSING.value, start=t0, end=t1)
@@ -363,13 +364,13 @@ def looped_contract(
                 # The SPA emits each sub-tensor's keys in insertion order.
                 order = False
         else:
-            z, products, hta_peak_bytes = _loop_stages(
+            z, products, hta_peak_bytes, probes = _loop_stages(
                 px, sy, hty, plan, profile,
                 y_structure=y_structure, accumulator=accumulator,
                 accumulator_buckets=accumulator_buckets,
                 granularity=granularity, tr=tr, clock=clock,
             )
-            order, merge_seconds, probes = False, 0.0, None
+            order, merge_seconds = False, 0.0
         created = z.nnz
 
         # ---------------- stage 5: output sorting --------------------
@@ -406,10 +407,7 @@ def looped_contract(
                 )
 
         if hty is not None:
-            profile.counters["hash_probes"] = (
-                hty.table.probes - hty_probes0 if probes is None
-                else probes
-            )
+            profile.counters["hash_probes"] = probes
         record_computation_traffic(
             plan,
             profile,
@@ -445,7 +443,8 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
 
     Returns ``(z, order, merge_seconds, products, hta_peak_bytes,
     probes)``; *order* and *merge_seconds* are the sink's (see
-    :meth:`MemorySink.writeback`), *probes* the executor's.
+    :meth:`MemorySink.writeback`), *probes* the executor's HtY probe
+    count.
     """
     totals = _Totals(len(plan.fx))
 
@@ -486,7 +485,7 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
         zlocal_peak_bytes=(
             totals.zlocal_peak_bytes if executor.concurrent else None
         ),
-        codegen=kernel["codegen"], tracer=tr, clock=clock,
+        tracer=tr, clock=clock,
     )
     t1 = clock()
     # A merge inside writeback is stage 5's work; the driver charges it
@@ -515,7 +514,11 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
 
 def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
                  accumulator_buckets, granularity, tr, clock):
-    """Stages 2-4 through the per-sub-tensor / per-element Python loop."""
+    """Stages 2-4 through the per-sub-tensor / per-element Python loop.
+
+    Returns ``(z, products, hta_peak_bytes, probes)``; *probes* counts
+    the chain walks of this run's private view of HtY.
+    """
 
     def make_accumulator() -> SparseAccumulator | HashAccumulator:
         if accumulator == "spa":
@@ -538,8 +541,9 @@ def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
         src_ptr = sy.group_ptr
         src_vals = sy.values
     else:
-        src_ptr = hty.group_ptr  # type: ignore[union-attr]
-        src_vals = hty.values  # type: ignore[union-attr]
+        hty = hty.probe_view()  # type: ignore[union-attr]
+        src_ptr = hty.group_ptr
+        src_vals = hty.values
     src_free = sy.free_ln if sy is not None else hty.free_ln  # type: ignore[union-attr]
 
     for f in range(px.num_subtensors):
@@ -618,4 +622,6 @@ def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,
                       (Stage.WRITEBACK, write_time)):
             tr.add_span(st.value, start=t, end=t + d, measured="aggregate")
             t += d
-    return z, products, hta_peak_bytes
+    return z, products, hta_peak_bytes, (
+        0 if hty is None else hty.table.probes
+    )

@@ -390,6 +390,27 @@ class HashTensor:
         hty.shared = True
         return hty
 
+    def probe_view(self) -> "HashTensor":
+        """Zero-copy view of this HtY with a private probe counter.
+
+        Every run, and every worker range of a run, probes through its
+        own view, so its ``table.probes`` counts exactly its own chain
+        walks. Probing the shared table instead would mix the counts of
+        runs that share a cached HtY, and lose updates when several
+        threads ``+=`` one counter.
+        """
+        table = self.table
+        return HashTensor.from_shared_buffers(
+            heads=table.heads,
+            keys=table.keys[: table.size],
+            nxt=table.nxt[: table.size],
+            group_ptr=self.group_ptr,
+            free_ln=self.free_ln,
+            values=self.values,
+            free_dims=self.free_dims,
+            contract_dims=self.contract_dims,
+        )
+
     # ------------------------------------------------------------------
     def lookup(self, contract_key: int) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         """The stage-2 index search: O(1) expected.

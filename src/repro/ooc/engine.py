@@ -44,16 +44,11 @@ from typing import Dict, List, Optional, Sequence, Union
 
 import numpy as np
 
-from repro.core.common import coo_row_bytes, prepare_x
+from repro.core.common import prepare_x
 from repro.core.htycache import HtYCache, cached_plan
-from repro.core.kernels import fused_compute
+from repro.core.kernels import fused_compute, record_writeback, write_z_rows
 from repro.core.looped import MemorySink, looped_contract, oriented_operands
-from repro.core.profile import (
-    AccessKind,
-    AccessPattern,
-    DataObject,
-    RunProfile,
-)
+from repro.core.profile import RunProfile
 from repro.core.result import ContractionResult
 from repro.hashtable.tensor_table import (
     HashTensor,
@@ -65,9 +60,7 @@ from repro.obs.tracer import CAT_SPILL, NULL_TRACER, Tracer
 from repro.parallel.partition import even_spans
 from repro.planner.ooc import OocDecision, plan_ooc
 from repro.planner.stats import contraction_stats
-from repro.core.stages import Stage
 from repro.tensor.coo import SparseTensor
-from repro.tensor.linearize import delinearize
 from repro.types import INDEX_DTYPE, VALUE_DTYPE
 
 from .budget import MemoryBudget
@@ -180,18 +173,15 @@ def stream_finalize(
     """Stage 4 as a streaming merge-assemble-append over sorted runs.
 
     Byte-identical replacement for ``merge_fused_runs`` +
-    ``assemble_fused`` + ``z.sort()``: merged blocks are assembled to
-    COO rows (same ``fx_rows`` gather and ``delinearize`` arithmetic)
-    and appended to two raw files, which are mapped back and unlinked —
+    ``assemble_fused`` + ``z.sort()``: each merged block's COO rows are
+    written by ``assemble_fused``'s writer (:func:`write_z_rows`) and
+    appended to two raw files, which are mapped back and unlinked —
     the returned tensor owns the last references to their inodes, so
     the spill directory cleanup leaves nothing behind. Charges exactly
-    the writeback traffic ``assemble_fused`` charges, with
-    ``zlocal_peak_bytes`` overriding the Z_local object size for
-    callers whose locals are per-worker, as in ``assemble_fused``. The
-    merge leaves Z sorted; the driver charges stage 5.
+    ``assemble_fused``'s writeback traffic (:func:`record_writeback`).
+    The merge leaves Z sorted; the driver charges stage 5.
     """
     tr = NULL_TRACER if tracer is None else tracer
-    nfx = len(plan.fx)
     out_order = plan.out_order
     fy_span = _fy_span(plan.fy_dims)
     idx_path = spill.path("z_indices.bin")
@@ -206,10 +196,7 @@ def stream_finalize(
         ):
             n = int(fgrp_blk.shape[0])
             indices = np.empty((n, out_order), dtype=INDEX_DTYPE)
-            indices[:, :nfx] = fx_rows[fgrp_blk]
-            indices[:, nfx:] = delinearize(
-                fy_blk.astype(INDEX_DTYPE, copy=False), plan.fy_dims
-            )
+            write_z_rows(indices, fgrp_blk, fy_blk, fx_rows, plan.fy_dims)
             fi.write(memoryview(indices).cast("B"))
             fv.write(
                 memoryview(
@@ -245,24 +232,7 @@ def stream_finalize(
     z = SparseTensor(
         indices, values, plan.out_shape, copy=False, validate=False
     )
-
-    # --- assemble_fused's exact writeback accounting -------------------
-    rowb = coo_row_bytes(out_order)
-    profile.bump("nnz_z", total)
-    profile.note_object_bytes(DataObject.Z, total * rowb)
-    zl_bytes = total * (8 * nfx + 16)
-    profile.note_object_bytes(
-        DataObject.Z_LOCAL,
-        zl_bytes if zlocal_peak_bytes is None else zlocal_peak_bytes,
-    )
-    profile.record_traffic(
-        DataObject.Z_LOCAL, Stage.WRITEBACK, AccessKind.READ,
-        AccessPattern.SEQUENTIAL, total * rowb,
-    )
-    profile.record_traffic(
-        DataObject.Z, Stage.WRITEBACK, AccessKind.WRITE,
-        AccessPattern.SEQUENTIAL, total * rowb,
-    )
+    record_writeback(plan, profile, total, zlocal_peak_bytes)
     return z
 
 
@@ -322,7 +292,7 @@ class SpillSink:
             )
 
     def writeback(self, fx_rows, plan, profile, *, sort_output,
-                  zlocal_peak_bytes, codegen, tracer, clock):
+                  zlocal_peak_bytes, tracer, clock):
         """Stage 4 as the streaming merge of the spilled runs (in range
         order); the merge leaves Z sorted, so stage 5 has nothing left
         to do."""

@@ -276,27 +276,6 @@ def _fold_worker_counters(profile, counter_dicts, imbalance, log) -> None:
         profile.set_flag("degraded", "serial")
 
 
-def _private_hty_view(hty: HashTensor) -> HashTensor:
-    """Zero-copy HtY view with a private probe counter.
-
-    Retried thread-backend attempts probe the same table arrays through
-    a fresh view, so only the *accepted* attempt's probes fold into the
-    profile — keeping ``hash_probes`` byte-exact with serial even when
-    a fault forced recomputation.
-    """
-    table = hty.table
-    return HashTensor.from_shared_buffers(
-        heads=table.heads,
-        keys=table.keys[: table.size],
-        nxt=table.nxt[: table.size],
-        group_ptr=hty.group_ptr,
-        free_ln=hty.free_ln,
-        values=hty.values,
-        free_dims=hty.free_dims,
-        contract_dims=hty.contract_dims,
-    )
-
-
 def _fault_retry(
     unit: int,
     policy: RecoveryPolicy,
@@ -405,9 +384,10 @@ def _build_hty_threads(
 class ThreadExecutor:
     """Static balanced ranges on a thread pool sharing one HtY.
 
-    With a fault plan, each attempt probes through a private zero-copy
-    view (:func:`_private_hty_view`): only accepted attempts count
-    probes, and only accepted outputs reach the sink.
+    Each range attempt probes through its own zero-copy view of the
+    table (:meth:`HashTensor.probe_view`): concurrent ranges lose no
+    probe counts, and with a fault plan only accepted attempts count
+    probes and only accepted outputs reach the sink.
     """
 
     concurrent = True
@@ -443,10 +423,11 @@ class ThreadExecutor:
         clock = kernel["clock"]
         injector, tracer = self.injector, self.tracer
 
-        def run_range(wid: int, lo: int, hi: int, table: HashTensor):
+        def run_range(wid: int, lo: int, hi: int):
+            view = hty.probe_view()
             t_start = clock()
             wprofile = RunProfile(f"{ENGINE_NAME}-w{wid}")
-            fr = sink.compute(px, table, wprofile, lo, hi, kernel)
+            fr = sink.compute(px, view, wprofile, lo, hi, kernel)
             t_end = clock()
             if tracer is not None:
                 # list.append is atomic under the GIL, so worker threads
@@ -468,45 +449,38 @@ class ThreadExecutor:
                 products=fr.products,
                 output_nnz=fr.nnz,
                 seconds=t_end - t_start,
-            )
+            ), view.table.probes
 
         def worker(args: Tuple[int, int, int]):
             wid, lo, hi = args
-            if injector is None:
-                fr, wprofile, stats = run_range(wid, lo, hi, hty)
-                probes = None
-            else:
-                def attempt():
-                    injector.fire("index_search", wid, worker=wid)
-                    view = _private_hty_view(hty)
-                    out = run_range(wid, lo, hi, view)
-                    fr = out[0]
-                    injector.fire("accumulation", wid, worker=wid)
-                    digest = payload_digest(
-                        fr.out_fgrp, fr.out_fy, fr.out_vals
+
+            def attempt():
+                injector.fire("index_search", wid, worker=wid)
+                out = run_range(wid, lo, hi)
+                fr = out[0]
+                injector.fire("accumulation", wid, worker=wid)
+                digest = payload_digest(fr.out_fgrp, fr.out_fy, fr.out_vals)
+                if injector.maybe_corrupt(
+                    "accumulation", wid, (fr.out_vals,), worker=wid
+                ) and payload_digest(
+                    fr.out_fgrp, fr.out_fy, fr.out_vals
+                ) != digest:
+                    self.log.bump("ft_corrupt_payloads")
+                    raise InjectedFault(
+                        f"corrupt chunk payload (range {wid})"
                     )
-                    if injector.maybe_corrupt(
-                        "accumulation", wid, (fr.out_vals,), worker=wid
-                    ) and payload_digest(
-                        fr.out_fgrp, fr.out_fy, fr.out_vals
-                    ) != digest:
-                        self.log.bump("ft_corrupt_payloads")
-                        raise InjectedFault(
-                            f"corrupt chunk payload (range {wid})"
-                        )
-                    injector.fire("writeback", wid, worker=wid)
-                    injector.fire("output_sorting", ANY, worker=wid)
-                    return out + (view.table.probes,)
+                injector.fire("writeback", wid, worker=wid)
+                injector.fire("output_sorting", ANY, worker=wid)
+                return out
 
-                def serial_attempt():
-                    view = _private_hty_view(hty)
-                    out = run_range(wid, lo, hi, view)
-                    return out + (view.table.probes,)
-
-                fr, wprofile, stats, probes = _fault_retry(
-                    wid, self.policy, self.log, attempt, serial_attempt,
-                    "range",
+            if injector is None:
+                out = run_range(wid, lo, hi)
+            else:
+                out = _fault_retry(
+                    wid, self.policy, self.log, attempt,
+                    lambda: run_range(wid, lo, hi), "range",
                 )
+            fr, wprofile, stats, probes = out
             accept(wid, fr)
             return dict(wprofile.counters), stats, probes
 
@@ -521,8 +495,6 @@ class ThreadExecutor:
             profile, [c for c, _, _ in outputs],
             partition_imbalance(px.ptr, ranges), self.log,
         )
-        if injector is None:
-            return None
         return sum(p for _, _, p in outputs)
 
     def close(self) -> None:

@@ -498,11 +498,11 @@ def _run_chunk_units(
             tracer.instant("claim", cat=CAT_WORKER, unit=int(unit))
         inj.fire("index_search", unit)
         t0 = clock()
-        probes0 = hty.table.probes
+        view = hty.probe_view()
         wprofile = RunProfile(f"sparta_parallel-p{wid}")
         fr = fused_compute(
             px,
-            hty,
+            view,
             y_structure="hash",
             accumulator="hash",
             profile=wprofile,
@@ -534,7 +534,7 @@ def _run_chunk_units(
                 unit,
                 fr,
                 dict(wprofile.counters),
-                hty.table.probes - probes0,
+                view.table.probes,
                 t1 - t0,
                 digest,
                 spans,
@@ -1263,11 +1263,11 @@ class SpartaProcessPool:
 
         def serial(unit, lo, hi):
             t0 = clock()
-            probes0 = hty.table.probes
+            view = hty.probe_view()
             wprofile = RunProfile("sparta_parallel-serial-fallback")
             fr = fused_compute(
                 px,
-                hty,
+                view,
                 y_structure="hash",
                 accumulator="hash",
                 profile=wprofile,
@@ -1282,7 +1282,7 @@ class SpartaProcessPool:
                 products=int(fr.products),
                 nnz=fr.nnz,
                 counters=dict(wprofile.counters),
-                hash_probes=hty.table.probes - probes0,
+                hash_probes=view.table.probes,
                 seconds=clock() - t0,
             )
 

@@ -14,7 +14,7 @@ Everything here is vectorized over arrays of index tuples.
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,17 +88,36 @@ def linearize(indices: np.ndarray, dims: Sequence[int]) -> np.ndarray:
     return indices.astype(INDEX_DTYPE, copy=False) @ strides
 
 
-def delinearize(keys: np.ndarray, dims: Sequence[int]) -> np.ndarray:
-    """Inverse of :func:`linearize`: ``(n,)`` LN keys to ``(n, k)`` indices."""
+def delinearize(
+    keys: np.ndarray, dims: Sequence[int], out: Optional[np.ndarray] = None
+) -> np.ndarray:
+    """Inverse of :func:`linearize`: ``(n,)`` LN keys to ``(n, k)`` indices.
+
+    With *out* (an ``(n, k)`` int64 array, typically a column slice of a
+    wider one) the indices are written there and *out* is returned. One
+    ``np.divmod`` per mode writes each column once: the quotient into
+    column *j*, the remainder into column *j + 1*, which the next
+    ``divmod`` then splits in place.
+    """
     keys = np.asarray(keys, dtype=INDEX_DTYPE)
     if keys.ndim != 1:
         raise ShapeError(f"keys must be 1-D, got shape {keys.shape}")
     strides = ln_strides(dims)
-    out = np.empty((keys.shape[0], len(dims)), dtype=INDEX_DTYPE)
+    k = len(dims)
+    if out is None:
+        out = np.empty((keys.shape[0], k), dtype=INDEX_DTYPE)
+    elif out.shape != (keys.shape[0], k) or out.dtype != INDEX_DTYPE:
+        raise ShapeError(
+            f"out must be an ({keys.shape[0]}, {k}) {np.dtype(INDEX_DTYPE)} "
+            f"array, got {out.shape} {out.dtype}"
+        )
+    if k == 1:
+        out[:, 0] = keys
+        return out
     rem = keys
-    for j, _ in enumerate(dims):
-        out[:, j] = rem // strides[j]
-        rem = rem % strides[j]
+    for j in range(k - 1):
+        np.divmod(rem, strides[j], out=(out[:, j], out[:, j + 1]))
+        rem = out[:, j + 1]
     return out
 
 

@@ -21,14 +21,12 @@ from repro.core.codegen import (
     codegen_enabled,
     compile_kernel,
     default_kernel_cache,
-    render_delinearizer,
     render_fused_kernel,
 )
 from repro.core.dispatch import contract
 from repro.core.profile import RunProfile
 from repro.parallel import parallel_sparta
 from repro.tensor import random_tensor
-from repro.tensor.linearize import delinearize
 
 INDEX = np.int64
 
@@ -163,24 +161,6 @@ class TestTemplates:
                 out[2].view(np.uint64), ref[2].view(np.uint64)
             )
 
-    @pytest.mark.parametrize("dims", [
-        (5,), (4,), (4, 8), (3, 5), (2, 3, 4), (8, 7, 16), (1, 1, 6),
-    ])
-    def test_delinearizer_matches_generic(self, dims):
-        rng = np.random.default_rng(0)
-        space = int(np.prod(dims))
-        keys = rng.integers(0, space, size=200).astype(INDEX)
-        delin = compile_kernel(
-            render_delinearizer(tuple(dims)), "delinearize_fy"
-        )
-        out = np.empty((keys.shape[0], len(dims)), dtype=INDEX)
-        delin(keys, out)
-        np.testing.assert_array_equal(out, delinearize(keys, dims))
-
-    def test_delinearizer_rejects_empty(self):
-        with pytest.raises(ValueError):
-            render_delinearizer(())
-
     def test_source_attached_and_identifiable(self):
         sig = make_sig((4, 8))
         kern = compile_kernel(
@@ -202,11 +182,7 @@ class TestKernelCache:
         assert profile.counters["kernel_cache_hits"] == 1
         assert profile.counters["kernel_cache_misses"] == 2
         assert profile.counters["kernel_compiles"] == 2
-        # delinearizers share the cache under a distinct key prefix
-        d1 = cache.get_delinearizer((4, 8), profile)
-        d2 = cache.get_delinearizer((4, 8), profile)
-        assert d1 is d2
-        assert len(cache) == 3
+        assert len(cache) == 2
 
     def test_eviction_recompiles_equal_source(self):
         cache = KernelCache(maxsize=2)
@@ -316,7 +292,7 @@ class TestWorkerWarmup:
         )
         assert lookups >= chunks
         # misses are bounded by compiles; at most one compile per
-        # process per signature (plus the parent's delinearizer)
+        # process per signature
         assert c.get("kernel_compiles", 0) == c.get(
             "kernel_cache_misses", 0
         )

@@ -218,3 +218,79 @@ class TestHtaModel:
 
     def test_custom_buckets(self):
         assert hta_model_nbytes(10, 64) == 64 * 8 + 3 * 16 * 8
+
+
+class TestMemoryDesign:
+    """Peak bytes the fused kernel and the writeback may allocate.
+
+    Measured with tracemalloc (numpy reports its buffers to it) on a
+    case where the generated kernel takes its packed-sort strategy,
+    after a warm-up call has compiled the kernel.
+    """
+
+    @pytest.fixture(scope="class")
+    def region(self):
+        from repro.core.common import prepare_x
+        from repro.core.htycache import cached_plan
+        from repro.core.profile import RunProfile
+        from repro.datasets import make_case
+        from repro.hashtable.tensor_table import HashTensor
+
+        case = make_case("nips", 2, scale=0.5, seed=1)
+        plan = cached_plan(case.x, case.y, case.cx, case.cy)
+        px = prepare_x(case.x, plan, RunProfile("prep"))
+        hty = HashTensor.from_coo(case.y, plan.cy)
+        return px, hty, plan
+
+    @staticmethod
+    def _peak(fn):
+        import tracemalloc
+
+        tracemalloc.start()
+        try:
+            out = fn()
+            return out, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    @staticmethod
+    def _compute(px, hty):
+        from repro.core.kernels import fused_compute
+        from repro.core.profile import RunProfile
+
+        profile = RunProfile("t")
+        fr = fused_compute(
+            px, hty, y_structure="hash", accumulator="hash",
+            profile=profile, codegen=True,
+        )
+        return fr, profile
+
+    def test_packed_compute_peak_within_12_words_per_product(
+        self, region, monkeypatch
+    ):
+        from repro.core.codegen import KILL_SWITCH_ENV
+
+        monkeypatch.delenv(KILL_SWITCH_ENV, raising=False)
+        px, hty, _ = region
+        self._compute(px, hty)  # compiles the kernel
+        (fr, profile), peak = self._peak(lambda: self._compute(px, hty))
+        assert profile.counters.get("codegen_packed_chunks", 0) >= 1
+        assert peak <= 12 * 8 * fr.products, (
+            f"{peak / (8 * fr.products):.2f} x 8 B per product"
+        )
+
+    def test_writeback_peak_is_z(self, region):
+        from repro.core.kernels import assemble_fused
+        from repro.core.profile import RunProfile
+
+        px, hty, plan = region
+        fr, _ = self._compute(px, hty)
+        vals = fr.out_vals.copy()
+        z, peak = self._peak(lambda: assemble_fused(
+            fr.out_fgrp, fr.out_fy, vals, px.fx_rows, plan,
+            RunProfile("w"),
+        ))
+        z_bytes = z.indices.nbytes + z.values.nbytes
+        assert peak <= z_bytes + 64 * 1024, (
+            f"peak {peak} B against Z's {z_bytes} B"
+        )

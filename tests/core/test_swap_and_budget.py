@@ -4,6 +4,9 @@
   its Table-2 bytes — on the final Z, exactly as an unswapped run does.
 * A memory budget and the HtY cache combine: a cached HtY is charged to
   the budget for the run, and the output does not change.
+* Probe counts are a run's own: runs and worker ranges that share one
+  (cached) HtY from several threads each count exactly their own chain
+  walks.
 """
 
 import numpy as np
@@ -117,3 +120,58 @@ def test_thread_ranges_fold_exactly_under_contention(pair):
 
     assert cells(par.profile) == cells(ref.profile)
     assert budget.used == 0
+
+
+def test_shared_hty_cache_counts_each_runs_probes():
+    """Runs on one cached HtY from several threads count their own probes.
+
+    Each run probes through its own view of the cached table, so its
+    ``hash_probes`` and its HtY traffic equal those of the same run
+    made alone, however the threads interleave.
+    """
+    import sys
+    import threading
+
+    from repro.core.htycache import HtYCache
+    from repro.datasets import make_case
+
+    case = make_case("nips", 2, scale=0.5, seed=1)
+    cache = HtYCache()
+
+    def run():
+        return contract(case.x, case.y, case.cx, case.cy, hty_cache=cache)
+
+    run()  # fills the cache
+    solo = run()
+    assert solo.profile.counters["hty_cache_hits"] == 1
+    results = []
+
+    def worker():
+        for _ in range(5):
+            results.append(run())
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == 15
+
+    def hty_cells(profile):
+        return sorted(
+            (t.stage.value, t.kind.value, t.pattern.value, t.nbytes)
+            for t in profile.traffic
+            if t.obj is DataObject.HTY
+        )
+
+    for res in results:
+        assert res.profile.counters["hash_probes"] == (
+            solo.profile.counters["hash_probes"]
+        )
+        assert hty_cells(res.profile) == hty_cells(solo.profile)

@@ -5,7 +5,10 @@
 engine, which has no workers. Each worker keyword must then be
 dropped, not forwarded, and Z must be bit-identical to the explicit
 configuration the planner chose. A keyword the planner chooses itself
-(``backend=``) is a conflict, refused as ``method=`` already is.
+(``backend=``, ``swap_larger_to_y=``) is a conflict, refused as
+``method=`` already is. A keyword only the serial engine takes is
+refused too, on both branches, since the planner could have picked a
+parallel engine.
 """
 
 from __future__ import annotations
@@ -31,6 +34,16 @@ WORKER_KEYWORDS = {
     "unit_timeout": 60.0,
     "timeout": 120.0,
     "chunks_per_worker": 2,
+}
+
+
+#: one benign value per sparta keyword parallel_sparta does not take
+SERIAL_KEYWORDS = {
+    "granularity": "element",
+    "accumulator_buckets": 64,
+    "workspace_cap": 1 << 20,
+    "dense_threshold": 0.5,
+    "x_format": "coo",
 }
 
 
@@ -91,7 +104,9 @@ def test_worker_keyword_follows_the_plan(planned, keyword):
     np.testing.assert_array_equal(res.tensor.values, ref.tensor.values)
 
 
-@pytest.mark.parametrize("keyword", ["backend", "parallel_stage1"])
+@pytest.mark.parametrize(
+    "keyword", ["backend", "parallel_stage1", "swap_larger_to_y"]
+)
 def test_planned_keyword_is_a_conflict(planned, keyword):
     _, operands, _ = planned
     value = "thread" if keyword == "backend" else False
@@ -99,4 +114,14 @@ def test_planned_keyword_is_a_conflict(planned, keyword):
         contract(
             *operands, method="parallel", plan="auto", threads=2,
             **{keyword: value},
+        )
+
+
+@pytest.mark.parametrize("keyword", sorted(SERIAL_KEYWORDS))
+def test_serial_only_keyword_is_refused(planned, keyword):
+    _, operands, _ = planned
+    with pytest.raises(ContractionError, match=keyword):
+        contract(
+            *operands, method="parallel", plan="auto", threads=2,
+            **{keyword: SERIAL_KEYWORDS[keyword]},
         )

@@ -2,8 +2,8 @@
 
 Demonstrates the tentpole property: with ``memory_budget=`` set, the
 contraction's resident-set growth stays pinned near the budget while
-the input grows 10x — fused chunks spill to run files and the final
-merge streams over mmaps — and a budget that *fits* in core costs
+the input grows 10x — HtY's partials spill to run files and Z's rows
+go to disk as each range finishes — and a budget that *fits* in core costs
 almost nothing over the unbudgeted run.
 
 Gates (written to ``BENCH_PR8.json``; the job fails when one fails):

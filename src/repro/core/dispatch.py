@@ -277,14 +277,15 @@ def contract(
         Hard cap on live contraction allocations — an int (bytes), a
         string like ``"512M"`` (see :func:`repro.ooc.parse_budget`) or a
         shared :class:`~repro.ooc.MemoryBudget`. When the planner's peak
-        estimate exceeds the cap, execution goes out-of-core: fused
-        chunks spill to mmap-readable run files and stage 5 becomes a
-        streaming merge over them (:mod:`repro.ooc`). Results and
-        Table-2 traffic stay byte-identical either way. Sparta-family
-        methods only; combines with the HtY cache, whose HtY is then
-        charged to the budget. ``None`` (default) never spills.
+        estimate exceeds the cap, execution goes out-of-core: HtY's
+        partials spill to mmap-readable run files and Z's rows are
+        written to disk as each range finishes (:mod:`repro.ooc`).
+        Results and Table-2 traffic stay byte-identical either way.
+        Sparta-family methods only; combines with the HtY cache, whose
+        HtY is then charged to the budget. ``None`` (default) never
+        spills.
     spill_root:
-        Directory for the run files of a spilling contraction (default
+        Directory for the spill files of a spilling contraction (default
         the system temp dir). Created per run, removed on completion.
     kwargs:
         Engine-specific options (e.g. ``num_buckets`` for sparta,

@@ -15,9 +15,10 @@ comparison, and ``"element"`` is the per-non-zero semantic reference.
 
 The fused path splits the sub-tensor loop into ranges (§3.5). An
 *executor* runs them (:data:`INLINE` here, or the thread and process
-executors of :mod:`repro.parallel.executor`) and a *sink* holds their
-output until writeback (:class:`MemorySink`, or the spilled runs of
-:class:`repro.ooc.engine.SpillSink`). Everything else happens here once:
+executors of :mod:`repro.parallel.executor`) and a *sink* takes their
+output (:class:`MemorySink` holds it until writeback;
+:class:`repro.ooc.engine.SpillSink` writes each range's Z rows to disk
+as it arrives). Everything else happens here once:
 stage order, the §3.3 swap, the HtY build or cache hit and its budget
 charge, the stage-5 sort or skip with its Table-2 bytes, the computation
 traffic and the root span.
@@ -139,6 +140,9 @@ class MemorySink:
     streams = False
     min_ranges = 1
     span_args: dict = {}
+    #: seconds :meth:`put` spent writing Z rows: none, Z is written at
+    #: writeback
+    write_seconds = 0.0
 
     def __init__(self, *, merge=None, budget=None, decision=None) -> None:
         self.merge = merge
@@ -455,15 +459,20 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
     tc0 = clock()
     probes = executor.run(px, source, sink, accept, profile, kernel)
     tc1 = clock()
+    # Z rows a sink wrote as the ranges arrived: stage 4's work, done
+    # inside the compute window.
+    streamed = sink.write_seconds
     search, accum = totals.search_seconds, totals.accum_seconds
     if executor.concurrent:
         # Per-worker stage timers overlap in wall-clock time, so summing
         # them would charge N workers' concurrent seconds to one run.
-        # Apportion the measured compute wall between search and
-        # accumulation by the workers' relative busy time instead.
+        # Apportion the measured compute wall, less the streamed
+        # writeback, between search and accumulation by the workers'
+        # relative busy time instead.
         busy = search + accum
         fsearch = (search / busy) if busy > 0 else 0.5
-        search, accum = (tc1 - tc0) * fsearch, (tc1 - tc0) * (1 - fsearch)
+        window = tc1 - tc0 - streamed
+        search, accum = window * fsearch, window * (1 - fsearch)
         measured = "apportioned"
     else:
         measured = "aggregate"
@@ -491,7 +500,7 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
     # A merge inside writeback is stage 5's work; the driver charges it
     # there.
     write = (t1 - t0) - merge_seconds
-    profile.add_time(Stage.WRITEBACK, write)
+    profile.add_time(Stage.WRITEBACK, write + streamed)
     if tr.enabled:
         # Search and accumulation interleave inside the kernels, so
         # their spans are laid out back-to-back over the compute window.
@@ -501,8 +510,10 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
             tr.add_span(st.value, start=t, end=t + d, measured=measured)
             t += d
         if sink.streams:
-            tr.add_span(Stage.WRITEBACK.value, start=t0, end=t1,
-                        measured="streamed")
+            # One span for the rows written during the compute window
+            # and the close after it.
+            tr.add_span(Stage.WRITEBACK.value, start=t0 - streamed,
+                        end=t1, measured="streamed")
         elif executor.concurrent:
             tr.add_span(Stage.WRITEBACK.value, start=t0 + merge_seconds,
                         end=t1)

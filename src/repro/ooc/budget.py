@@ -78,7 +78,7 @@ class MemoryBudget:
     Tracks the current total, the peak, per-label peaks, and how often
     a charge pushed the total past the cap. The accountant covers the
     engine's *own* large allocations (prepared X, HtY, chunk outputs,
-    merge windows) — operands the caller already holds are sunk cost
+    Z-row blocks) — operands the caller already holds are sunk cost
     and are not charged.
     """
 

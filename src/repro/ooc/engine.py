@@ -19,17 +19,20 @@ to the budget (``flags["ooc"] = "in_core"``); if not, a
   group pointers and X stay resident;
 * **stages 2–4** — the sub-tensor loop runs in budget-sized ranges
   through the unmodified :func:`~repro.core.kernels.fused_compute`;
-  each range's sorted ``(fgrp, fy, vals)`` output is appended to a
-  spill run and dropped from memory;
-* **stage 5** — a streaming k-way merge over the mmapped runs
-  (:func:`~repro.ooc.merge.stream_merge_fused`) assembles and writes
-  the final COO arrays *incrementally* to two raw files, which are then
-  mapped and immediately unlinked — the returned tensor stays valid,
-  the spill directory is removed without orphans, and the full
-  accumulator is never materialized.
+  as each range is accepted, :meth:`SpillSink.put` writes its Z rows
+  with the in-memory sink's writer
+  (:func:`~repro.core.kernels.write_z_rows`), block by block, appends
+  them to two raw files (index rows, values) and drops the range — Z is
+  written once, as Algorithm 2's writeback copies each Z_local into Z
+  once;
+* **stage 4's close** — :func:`stream_finalize` maps the two files and
+  unlinks them: the returned tensor stays valid, the spill directory is
+  removed without orphans, and neither Z nor the accumulator is ever
+  whole in memory. Ranges that a thread or process executor delivered
+  out of order are first copied back into range order.
 
-Ranges cover disjoint ascending sub-tensor spans, so the concatenation
-of their outputs is exactly the serial fused output, all probe/product
+Ranges cover disjoint ascending sub-tensor spans, so Z in range order is
+exactly the serial fused output, already sorted; all probe/product
 counters sum to the serial totals, and every Table-2 traffic cell is
 charged by the same driver — results and traffic are byte-exact
 against the in-core engines, with any executor.
@@ -40,7 +43,7 @@ from __future__ import annotations
 import os
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Union
+from typing import BinaryIO, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -64,20 +67,19 @@ from repro.tensor.coo import SparseTensor
 from repro.types import INDEX_DTYPE, VALUE_DTYPE
 
 from .budget import MemoryBudget
-from .merge import DEFAULT_BLOCK_ROWS, stream_merge_fused
 from .runfile import RunFileReader
 from .spill import SpillManager
 
-__all__ = ["SpillSink", "budget_sink", "ooc_contract", "stream_finalize"]
+__all__ = ["DEFAULT_BLOCK_ROWS", "SpillSink", "budget_sink", "ooc_contract",
+           "stream_finalize"]
 
 ENGINE_NAME = "sparta"
 
+#: most Z rows one spill write or reorder copy holds in memory at once
+DEFAULT_BLOCK_ROWS = 1 << 18
 
-def _fy_span(fy_dims: Sequence[int]) -> int:
-    span = 1
-    for d in fy_dims:
-        span *= int(d)
-    return max(span, 1)
+#: Z's spill files: index rows, values
+_Z_FILES = ("z_indices.bin", "z_values.bin")
 
 
 def _build_hty_spilled(
@@ -158,90 +160,107 @@ def _build_hty_spilled(
     return hty
 
 
+def _copy_in_range_order(
+    src: str,
+    dst: str,
+    spans: Sequence[Tuple[int, int]],
+    width: int,
+    budget: MemoryBudget,
+) -> None:
+    """Copy the ``(first row, rows)`` *spans* of *src* to *dst*, in list
+    order, one block of at most :data:`DEFAULT_BLOCK_ROWS` rows of
+    *width* bytes at a time; each block is charged to *budget* while it
+    is held. Unlinks *src*."""
+    step = DEFAULT_BLOCK_ROWS * width
+    with open(src, "rb") as fin, open(dst, "wb") as fout:
+        for first, n in spans:
+            fin.seek(first * width)
+            left = n * width
+            while left:
+                k = min(step, left)
+                with budget.hold("z_reorder", k):
+                    fout.write(fin.read(k))
+                left -= k
+    os.unlink(src)
+
+
 def stream_finalize(
-    runs: List[Dict[str, np.ndarray]],
-    fx_rows: np.ndarray,
+    z_files: Sequence[BinaryIO],
+    segments: Dict[int, Tuple[int, int]],
     plan,
     profile: RunProfile,
     spill: SpillManager,
+    budget: MemoryBudget,
     *,
     clock=time.perf_counter,
     tracer: Optional[Tracer] = None,
     zlocal_peak_bytes: Optional[int] = None,
-    block_rows: int = DEFAULT_BLOCK_ROWS,
 ) -> SparseTensor:
-    """Stage 4 as a streaming merge-assemble-append over sorted runs.
+    """Close stage 4: map the Z rows that :meth:`SpillSink.put` wrote.
 
-    Byte-identical replacement for ``merge_fused_runs`` +
-    ``assemble_fused`` + ``z.sort()``: each merged block's COO rows are
-    written by ``assemble_fused``'s writer (:func:`write_z_rows`) and
-    appended to two raw files, which are mapped back and unlinked —
-    the returned tensor owns the last references to their inodes, so
-    the spill directory cleanup leaves nothing behind. Charges exactly
-    ``assemble_fused``'s writeback traffic (:func:`record_writeback`).
-    The merge leaves Z sorted; the driver charges stage 5.
+    *z_files* are the open index-row and value files; *segments* maps
+    each range index to the ``(first row, rows)`` it holds in them. The
+    files are closed, mapped and unlinked — the returned tensor owns the
+    last references to their inodes, so the spill directory cleanup
+    leaves nothing behind. Only when ranges arrived out of range order
+    are both files first copied into range order
+    (:func:`_copy_in_range_order`); the ranges it moved are counted in
+    ``ooc_ranges_moved``. Charges ``assemble_fused``'s writeback traffic
+    (:func:`record_writeback`); Z in range order is sorted, and the
+    driver charges stage 5.
     """
     tr = NULL_TRACER if tracer is None else tracer
     out_order = plan.out_order
-    fy_span = _fy_span(plan.fy_dims)
-    idx_path = spill.path("z_indices.bin")
-    val_path = spill.path("z_values.bin")
-    total = 0
-    t0 = clock()
-    with open(idx_path, "wb", buffering=1 << 20) as fi, open(
-        val_path, "wb", buffering=1 << 20
-    ) as fv:
-        for fgrp_blk, fy_blk, vals_blk in stream_merge_fused(
-            runs, fy_span, block_rows=block_rows
-        ):
-            n = int(fgrp_blk.shape[0])
-            indices = np.empty((n, out_order), dtype=INDEX_DTYPE)
-            write_z_rows(indices, fgrp_blk, fy_blk, fx_rows, plan.fy_dims)
-            fi.write(memoryview(indices).cast("B"))
-            fv.write(
-                memoryview(
-                    np.ascontiguousarray(
-                        vals_blk.astype(VALUE_DTYPE, copy=False)
-                    )
-                ).cast("B")
-            )
-            total += n
-    spill.spilled_bytes += total * (8 * out_order + 8)
-    tr.add_span(
-        "stream_merge", start=t0, end=clock(), cat=CAT_SPILL,
-        rows=int(total), runs=len(runs),
-    )
+    widths = (8 * out_order, 8)
+    for fh in z_files:
+        fh.close()
+    paths = [fh.name for fh in z_files]
+    spans = [segments[i] for i in sorted(segments)]
+    total = moved = 0
+    for first, n in spans:
+        if n and first != total:
+            moved += 1
+        total += n
+    spill.spilled_bytes += total * sum(widths)
+    if moved:
+        t0 = clock()
+        for k, width in enumerate(widths):
+            dst = spill.path(_Z_FILES[k])
+            _copy_in_range_order(paths[k], dst, spans, width, budget)
+            paths[k] = dst
+        spill.spilled_bytes += total * sum(widths)
+        tr.add_span(
+            "reorder_rows", start=t0, end=clock(), cat=CAT_SPILL,
+            rows=int(total), ranges=int(moved),
+        )
     if total:
         indices = np.memmap(
-            idx_path, dtype=INDEX_DTYPE, mode="r",
-            shape=(total, out_order),
+            paths[0], dtype=INDEX_DTYPE, mode="r", shape=(total, out_order)
         )
         values = np.memmap(
-            val_path, dtype=VALUE_DTYPE, mode="r", shape=(total,)
+            paths[1], dtype=VALUE_DTYPE, mode="r", shape=(total,)
         )
-        # POSIX keeps the inodes alive while mapped: the tensor stays
-        # valid, and the spill dir can be removed without orphans.
-        os.unlink(idx_path)
-        os.unlink(val_path)
     else:
         indices = np.empty((0, out_order), dtype=INDEX_DTYPE)
         values = np.empty(0, dtype=VALUE_DTYPE)
-        for p in (idx_path, val_path):
-            if os.path.exists(p):
-                os.unlink(p)
+    # POSIX keeps the inodes alive while mapped: the tensor stays valid,
+    # and the spill dir can be removed without orphans.
+    for p in paths:
+        os.unlink(p)
     z = SparseTensor(
         indices, values, plan.out_shape, copy=False, validate=False
     )
+    profile.counters["ooc_ranges_moved"] = moved
     record_writeback(plan, profile, total, zlocal_peak_bytes)
     return z
 
 
 class SpillSink:
-    """Holds each range's output as a spilled run under a memory budget.
+    """Writes each range's Z rows to two spill files under a memory budget.
 
     Its steps are the ones a budget changes (see the module docstring).
     Ranges may arrive from worker threads, in any order; the lock
-    serializes the writer and the budget accounting.
+    serializes the writes and the budget accounting.
     """
 
     streams = True
@@ -257,13 +276,23 @@ class SpillSink:
         self.decision = decision
         self.min_ranges = decision.num_chunks
         self.spill = SpillManager(spill_root)
-        self._writer = self.spill.writer("fused.runs")
-        #: range index -> run index in the writer's file
-        self._run_of: Dict[int, int] = {}
+        #: Z's index-row and value files, appended in arrival order
+        self.z_files = tuple(
+            open(self.spill.path(name), "wb", buffering=1 << 20)
+            for name in _Z_FILES
+        )
+        #: range index -> (first row, rows) in the Z files
+        self._segments: Dict[int, Tuple[int, int]] = {}
+        self._rows = 0
+        #: seconds :meth:`put` spent writing Z rows (stage 4's work)
+        self.write_seconds = 0.0
+        self._fx_rows = self._plan = None
         self._lock = threading.Lock()
 
     def prepare_x(self, x, plan, profile, x_format="coo"):
-        return prepare_x(x, plan, profile, x_format=x_format)
+        px = prepare_x(x, plan, profile, x_format=x_format)
+        self._fx_rows, self._plan = px.fx_rows, plan
+        return px
 
     def build_hty(self, y, plan, num_buckets, tracer):
         return _build_hty_spilled(
@@ -278,35 +307,45 @@ class SpillSink:
         )
 
     def put(self, index, fr, tracer) -> None:
+        """Stage 4 for one range: append its Z rows to the Z files."""
         nbytes = fr.out_fgrp.nbytes + fr.out_fy.nbytes + fr.out_vals.nbytes
+        n, plan = fr.nnz, self._plan
+        fi, fv = self.z_files
         with self._lock:
             ts = time.perf_counter()
             with self.budget.hold("fused_chunk", nbytes):
-                self._run_of[index] = self._writer.append_run(
-                    {"fgrp": fr.out_fgrp, "fy": fr.out_fy,
-                     "vals": fr.out_vals}
-                )
+                for lo in range(0, n, DEFAULT_BLOCK_ROWS):
+                    hi = min(lo + DEFAULT_BLOCK_ROWS, n)
+                    rows = np.empty((hi - lo, plan.out_order),
+                                    dtype=INDEX_DTYPE)
+                    with self.budget.hold("z_rows", rows.nbytes):
+                        write_z_rows(rows, fr.out_fgrp[lo:hi],
+                                     fr.out_fy[lo:hi], self._fx_rows,
+                                     plan.fy_dims)
+                        fi.write(memoryview(rows).cast("B"))
+                        del rows
+                if n:
+                    fv.write(memoryview(np.ascontiguousarray(
+                        fr.out_vals, dtype=VALUE_DTYPE)).cast("B"))
+            self._segments[index] = (self._rows, n)
+            self._rows += n
+            te = time.perf_counter()
+            self.write_seconds += te - ts
             tracer.add_span(
-                "spill_run", start=ts, end=time.perf_counter(),
-                cat=CAT_SPILL, rows=int(fr.nnz), bytes=int(nbytes),
+                "spill_rows", start=ts, end=te, cat=CAT_SPILL,
+                rows=int(n), bytes=int(n * (8 * plan.out_order + 8)),
             )
 
     def writeback(self, fx_rows, plan, profile, *, sort_output,
                   zlocal_peak_bytes, tracer, clock):
-        """Stage 4 as the streaming merge of the spilled runs (in range
-        order); the merge leaves Z sorted, so stage 5 has nothing left
-        to do."""
-        self._writer.close()
-        self.spill.account(self._writer)
-        reader = RunFileReader(self._writer.path)
-        runs = [reader.run(self._run_of[i]) for i in sorted(self._run_of)]
+        """Stage 4's close (:func:`stream_finalize`). Z comes back in
+        range order, which is sorted, so stage 5 has nothing left to
+        do."""
         z = stream_finalize(
-            runs, fx_rows, plan, profile, self.spill,
-            clock=clock, tracer=tracer, zlocal_peak_bytes=zlocal_peak_bytes,
+            self.z_files, self._segments, plan, profile, self.spill,
+            self.budget, clock=clock, tracer=tracer,
+            zlocal_peak_bytes=zlocal_peak_bytes,
         )
-        reader.close()
-        if sort_output:
-            profile.bump("output_merge_stream")
         return z, True, 0.0
 
     def note(self, profile) -> None:
@@ -316,8 +355,11 @@ class SpillSink:
         profile.counters.update(self.budget.counters())
 
     def close(self) -> None:
-        self._writer.close()
-        self.spill.close()
+        try:
+            for fh in self.z_files:
+                fh.close()
+        finally:
+            self.spill.close()
 
 
 def budget_sink(

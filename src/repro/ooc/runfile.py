@@ -1,8 +1,8 @@
 """Spill run files: header + packed key/value arrays, mmap-readable.
 
 One run file holds any number of *runs*; a run is an ordered set of
-named 1-D arrays (a fused chunk's ``fgrp``/``fy``/``vals`` triple, a
-stage-1 partial's four arrays, ...). The layout is append-friendly —
+named 1-D arrays (a stage-1 partial's four arrays, the merged HtY's
+demoted payload, ...). The layout is append-friendly —
 writers stream raw array bytes through a buffered file handle (the
 kernel page cache absorbs them; the writing process's RSS stays flat)
 and the directory goes at the *end*:
@@ -17,10 +17,9 @@ and the directory goes at the *end*:
 
 Readers map arrays with ``np.memmap(mode="r")`` straight out of the
 file — zero-copy, demand-paged — and can drop consumed pages with
-:meth:`RunFileReader.release` (``madvise(MADV_DONTNEED)``), which is
-what bounds resident memory during the streaming merge. The same
-format serves the spilled fused runs, the merge tree and the
-serialized HtY partials.
+:meth:`RunFileReader.release` (``madvise(MADV_DONTNEED)``). Z's spilled
+rows do not use this format: they are two raw arrays, mapped as they
+are (:func:`repro.ooc.engine.stream_finalize`).
 """
 
 from __future__ import annotations

@@ -1,8 +1,8 @@
 """Spill-directory lifecycle and accounting.
 
 A :class:`SpillManager` owns one temporary directory for a single
-contraction (or one worker pool): every run file the engine writes
-lives under it, its counters feed the run profile
+contraction (or one worker pool): every file the engine spills lives
+under it, its counters feed the run profile
 (``ooc_spill_bytes`` / ``ooc_runs`` / ``ooc_run_files``), and
 ``close()`` removes the whole tree — the leak check in
 ``benchmarks/bench_ooc.py`` asserts nothing survives it, including

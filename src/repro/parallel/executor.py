@@ -188,9 +188,9 @@ def parallel_sparta(
     :class:`repro.ooc.MemoryBudget`) lets
     :func:`repro.ooc.engine.budget_sink` decide in-core vs.
     out-of-core: a working set that fits keeps its ranges in memory
-    (``flags["ooc"] = "in_core"``); otherwise each accepted range is
-    spilled to a run file under one spill directory and stage 5 becomes
-    a streaming merge of those runs (``flags["ooc"] = "spill"``).
+    (``flags["ooc"] = "in_core"``); otherwise each accepted range's Z
+    rows are written to Z's spill files as it arrives, under one spill
+    directory (``flags["ooc"] = "spill"``).
     ``force_spill`` pins the spill path for tests; ``spill_root``
     overrides the spill directory's parent (default: the system temp
     dir).

@@ -11,8 +11,8 @@ fits). If no, size the pipeline's partitions from the budget:
 * fused chunks: stages 3-4 bound their in-flight product temporaries by
   ``chunk_pairs`` (the same knob the kernels already have), sized so a
   chunk's gather/sort working set fits a share of the budget;
-* the streaming merge windows are bounded separately by
-  :data:`repro.ooc.merge.DEFAULT_BLOCK_ROWS`.
+* the blocks of Z rows the spill sink writes are bounded separately
+  by :data:`repro.ooc.engine.DEFAULT_BLOCK_ROWS`.
 
 Everything derives from the planner's O(1)
 :class:`~repro.planner.stats.ContractionStats` plus the §4.2 size
@@ -39,6 +39,10 @@ _BYTES_PER_PRODUCT = 48
 #: bytes per grouped Y non-zero in a stage-1 partial (free_ln + value +
 #: group key/ptr amortized)
 _BYTES_PER_Y_ROW = 32
+
+#: bytes per Y non-zero of the merged HtY's demoted payload
+#: (free_ln + value)
+_BYTES_PER_Y_PAYLOAD = 16
 
 #: spill throughput assumed for cost estimates (page-cache-buffered
 #: sequential writes; deliberately conservative)
@@ -130,9 +134,12 @@ def plan_ooc(
         math.ceil(stats.nnz_y * _BYTES_PER_Y_ROW / span_budget), 1
     )
 
-    created = stats.est_created
+    # Spilled: Z's index rows and values, Y's partials and the demoted
+    # HtY payload.
+    out_order = stats.nfx + stats.nfy
     est_spill = int(
-        created * 24 + stats.nnz_y * _BYTES_PER_Y_ROW
+        stats.est_created * (8 * out_order + 8)
+        + stats.nnz_y * (_BYTES_PER_Y_ROW + _BYTES_PER_Y_PAYLOAD)
         if out_of_core
         else 0
     )

@@ -93,13 +93,14 @@ def build_parser() -> argparse.ArgumentParser:
         "--memory-budget", default=None, metavar="BYTES",
         help="hard cap on live contraction allocations (int bytes or "
              "'512M'/'2G'); when the working set exceeds it, execution "
-             "goes out-of-core — fused chunks spill to run files and "
-             "the final merge streams over them. Results are "
-             "bit-identical either way (sparta engine only)",
+             "goes out-of-core — HtY's partials spill to run files "
+             "and Z's rows are written to disk as each range "
+             "finishes. Results are bit-identical either way (sparta "
+             "engine only)",
     )
     parser.add_argument(
         "--spill-root", default=None, metavar="DIR",
-        help="directory for out-of-core run files (default: system "
+        help="directory for out-of-core spill files (default: system "
              "temp dir); created per run and removed on completion",
     )
     parser.add_argument(

@@ -1,16 +1,23 @@
-"""ooc_contract: flags, counters, spill placement and cleanup."""
+"""ooc_contract and its spill sink: flags, counters, spill placement,
+range order, cleanup, and where the writeback time and bytes go."""
 
 from __future__ import annotations
 
 import glob
 import os
 import tempfile
+import time
 
 import numpy as np
 import pytest
 
 from repro.core import contract
-from repro.ooc import MemoryBudget, ooc_contract
+from repro.core.common import partition_subtensors
+from repro.core.kernels import write_z_rows
+from repro.core.looped import InlineExecutor, looped_contract
+from repro.core.stages import Stage
+from repro.ooc import DEFAULT_BLOCK_ROWS, MemoryBudget, ooc_contract
+from repro.ooc.engine import SpillSink, budget_sink
 from repro.tensor import SparseTensor
 from repro.tensor.random import random_tensor_fibered
 
@@ -129,3 +136,165 @@ class TestOocEngine:
         )
         assert par.result.profile.counters["ft_worker_failures"] >= 1
         assert os.listdir(root) == [], "run files leaked after crash"
+
+
+def _traffic_cells(profile):
+    cells = {}
+    for rec in profile.traffic:
+        key = (rec.obj, rec.stage, rec.kind, rec.pattern)
+        cells[key] = cells.get(key, 0) + rec.nbytes
+    return cells
+
+
+class OrderedExecutor(InlineExecutor):
+    """Runs *ranges* sub-tensor ranges in the calling thread, handing
+    them to the sink in ``order(num_ranges)``."""
+
+    def __init__(self, ranges, order=lambda n: list(range(n))):
+        self.ranges = ranges
+        self.order = order
+
+    def run(self, px, source, sink, accept, profile, kernel):
+        spans = partition_subtensors(
+            px.ptr, max(self.ranges, sink.min_ranges)
+        )
+        view = source.probe_view()
+        for i in self.order(len(spans)):
+            lo, hi = spans[i]
+            accept(i, sink.compute(px, view, profile, lo, hi, kernel))
+        return view.table.probes
+
+
+def _spill_run(x, y, cx, cy, executor, *, spill_root=None):
+    sink = budget_sink(
+        "1M", x, y, cx, cy, force_spill=True, spill_root=spill_root
+    )
+    res = looped_contract(
+        x, y, cx, cy, engine_name="sparta", y_structure="hash",
+        accumulator="hash", executor=executor, sink=sink,
+    )
+    return res, sink
+
+
+class TestSpillSinkOrder:
+    """Z rows go to disk in arrival order; Z comes back in range order."""
+
+    @pytest.mark.parametrize("order", ["reverse", "shuffled"])
+    def test_out_of_order_ranges_bit_identical(self, pair, order):
+        x, y, cx, cy = pair
+        base = contract(
+            x, y, cx, cy, method="sparta", swap_larger_to_y=False
+        )
+        perm = {
+            "reverse": lambda n: list(range(n))[::-1],
+            "shuffled": lambda n: list(
+                np.random.default_rng(5).permutation(n)
+            ),
+        }[order]
+        res, _ = _spill_run(x, y, cx, cy, OrderedExecutor(5, perm))
+        assert res.profile.counters["ooc_ranges_moved"] >= 2
+        assert res.tensor.indices.tobytes() == base.tensor.indices.tobytes()
+        assert res.tensor.values.tobytes() == base.tensor.values.tobytes()
+        assert _traffic_cells(res.profile) == _traffic_cells(base.profile)
+
+    def test_in_order_ranges_move_nothing(self, pair):
+        x, y, cx, cy = pair
+        res, _ = _spill_run(x, y, cx, cy, OrderedExecutor(5))
+        assert res.profile.counters["ooc_ranges_moved"] == 0
+        assert res.profile.counters["ooc_spill_bytes"] > 0
+
+    def test_writer_failure_closes_files_and_cleans_up(
+        self, pair, tmp_path, monkeypatch
+    ):
+        x, y, cx, cy = pair
+        calls = []
+
+        def failing(*args):
+            calls.append(1)
+            if len(calls) == 2:
+                raise RuntimeError("disk gone")
+            return write_z_rows(*args)
+
+        monkeypatch.setattr("repro.ooc.engine.write_z_rows", failing)
+        sink = budget_sink(
+            "1M", x, y, cx, cy, force_spill=True,
+            spill_root=str(tmp_path),
+        )
+        with pytest.raises(RuntimeError, match="disk gone"):
+            looped_contract(
+                x, y, cx, cy, engine_name="sparta", y_structure="hash",
+                accumulator="hash", executor=OrderedExecutor(4),
+                sink=sink,
+            )
+        assert len(calls) == 2
+        assert os.listdir(tmp_path) == []
+        assert all(fh.closed for fh in sink.z_files)
+        assert sink.budget.used == 0
+
+
+class TestSpillSinkAccounting:
+    def test_budget_peak_includes_z_row_block(self, monkeypatch):
+        from repro.datasets import make_case
+
+        case = make_case("chicago", 2, scale=0.5, seed=1)
+        seen = []
+        put = SpillSink.put
+
+        def spy(self, index, fr, tracer):
+            out = fr.out_fgrp.nbytes + fr.out_fy.nbytes + fr.out_vals.nbytes
+            seen.append((self.budget.used, out, fr.nnz))
+            return put(self, index, fr, tracer)
+
+        monkeypatch.setattr(SpillSink, "put", spy)
+        res = contract(
+            case.x, case.y, case.cx, case.cy, memory_budget="16M"
+        )
+        c = res.profile.counters
+        assert res.profile.flags["ooc"] == "spill"
+        row_bytes = 8 * res.tensor.order
+        held = max(
+            used + out + min(nnz, DEFAULT_BLOCK_ROWS) * row_bytes
+            for used, out, nnz in seen
+        )
+        assert c["ooc_budget_peak_bytes"] >= held
+        assert c["ooc_budget_overruns"] == 0
+
+    @pytest.mark.parametrize("backend", ["inline", "thread"])
+    def test_streamed_writeback_seconds_charged_to_writeback(
+        self, pair, monkeypatch, backend
+    ):
+        x, y, cx, cy = pair
+        sleep = 0.03
+
+        def run():
+            if backend == "inline":
+                return _spill_run(x, y, cx, cy, OrderedExecutor(3))[0]
+            from repro.parallel import parallel_sparta
+
+            return parallel_sparta(
+                x, y, cx, cy, threads=3, backend="thread",
+                memory_budget="1M", force_spill=True,
+            ).result
+
+        def compute(prof):
+            return (prof.stage_seconds[Stage.INDEX_SEARCH]
+                    + prof.stage_seconds[Stage.ACCUMULATION])
+
+        fast = [run().profile for _ in range(2)]
+        calls = []
+
+        def slow(*args):
+            calls.append(1)
+            time.sleep(sleep)
+            return write_z_rows(*args)
+
+        monkeypatch.setattr("repro.ooc.engine.write_z_rows", slow)
+        prof = run().profile
+        n = len(calls)
+        assert n == 3
+        # Every sleep is stage-4 time, and none of it is search or
+        # accumulation time.
+        assert prof.stage_seconds[Stage.WRITEBACK] >= n * sleep
+        assert compute(prof) < (
+            max(compute(p) for p in fast) + 0.5 * n * sleep
+        )

@@ -78,3 +78,20 @@ class TestPlanOoc:
         assert estimate_in_core_peak(s_big) > estimate_in_core_peak(
             s_small
         )
+
+
+def test_spill_estimate_within_2x_of_spilled_bytes():
+    # The spill path writes Z's rows, Y's partials and the demoted HtY
+    # payload; the estimate counts the same three.
+    from repro.core import contract
+    from repro.datasets import make_case
+
+    case = make_case("chicago", 2, scale=0.5, seed=1)
+    stats = contraction_stats(
+        case.x, case.y, cached_plan(case.x, case.y, case.cx, case.cy)
+    )
+    est = plan_ooc(stats, 16 << 20).est_spill_bytes
+    res = contract(case.x, case.y, case.cx, case.cy, memory_budget="16M")
+    assert res.profile.flags["ooc"] == "spill"
+    spilled = res.profile.counters["ooc_spill_bytes"]
+    assert spilled / 2 <= est <= 2 * spilled

@@ -215,67 +215,3 @@ class TestMergeEdgeCasesMmap:
         assert merged_map.tobytes() == merged_mem.tobytes()
         assert gather_map.tobytes() == gather_mem.tobytes()
 
-
-class TestStreamMergeEdgeCasesMmap:
-    """stream_merge_fused over run files == in-core merge_fused_runs."""
-
-    @staticmethod
-    def _fused_runs(which):
-        key_runs = _edge_case_runs(which)
-        span = 101
-        out = []
-        for keys in key_runs:
-            fgrp, fy = keys // span, keys % span
-            out.append(make_run(fgrp, fy))
-        return out, span
-
-    @pytest.mark.parametrize("which", EDGE_CASES)
-    @pytest.mark.parametrize("block_rows", [1024, 1 << 18])
-    def test_byte_identical_to_in_core(self, which, block_rows,
-                                       tmp_path):
-        from repro.ooc import (
-            RunFileReader,
-            RunFileWriter,
-            stream_merge_fused,
-        )
-
-        runs, span = self._fused_runs(which)
-        ref_fgrp, ref_fy, ref_vals, _, _ = merge_fused_runs(
-            runs, (span,)
-        )
-
-        path = str(tmp_path / "fused.run")
-        writer = RunFileWriter(path)
-        for r in runs:
-            writer.append_run(
-                {"fgrp": r.out_fgrp, "fy": r.out_fy,
-                 "vals": r.out_vals}
-            )
-        writer.close()
-        reader = RunFileReader(path)
-        try:
-            mapped = [
-                reader.run(i) for i in range(reader.num_runs)
-            ]
-            blocks = list(
-                stream_merge_fused(
-                    mapped, span, block_rows=block_rows
-                )
-            )
-        finally:
-            reader.close()
-        got_fgrp = (
-            np.concatenate([b[0] for b in blocks])
-            if blocks else np.empty(0, np.int64)
-        )
-        got_fy = (
-            np.concatenate([b[1] for b in blocks])
-            if blocks else np.empty(0, np.int64)
-        )
-        got_vals = (
-            np.concatenate([b[2] for b in blocks])
-            if blocks else np.empty(0, np.float64)
-        )
-        assert got_fgrp.tobytes() == ref_fgrp.tobytes()
-        assert got_fy.tobytes() == ref_fy.tobytes()
-        assert got_vals.tobytes() == ref_vals.tobytes()

@@ -48,7 +48,7 @@ def expand_ranges(starts: np.ndarray, lens: np.ndarray) -> np.ndarray:
     return out + np.arange(total, dtype=np.int64)
 
 
-def _sort_passes(n: int) -> float:
+def sort_passes(n: int) -> float:
     """Data-movement passes charged for a sort.
 
     Quicksort makes ~log2(n) comparison passes but they touch cached
@@ -173,7 +173,7 @@ def prepare_x(
     elif x_format != "coo":
         raise ShapeError(f"unknown x_format {x_format!r}")
     profile.note_object_bytes(DataObject.X, x_bytes)
-    sort_bytes = int(x_bytes * _sort_passes(x.nnz))
+    sort_bytes = int(x_bytes * sort_passes(x.nnz))
     profile.record_traffic(
         DataObject.X, Stage.INPUT_PROCESSING, AccessKind.READ,
         AccessPattern.RANDOM, sort_bytes,
@@ -305,7 +305,7 @@ def prepare_y_sorted(
     rowb = coo_row_bytes(y.order)
     profile.counters["nnz_y"] = y.nnz
     profile.note_object_bytes(DataObject.Y, y.nnz * rowb)
-    sort_bytes = int(y.nnz * rowb * _sort_passes(y.nnz))
+    sort_bytes = int(y.nnz * rowb * sort_passes(y.nnz))
     profile.record_traffic(
         DataObject.Y, Stage.INPUT_PROCESSING, AccessKind.READ,
         AccessPattern.SEQUENTIAL, sort_bytes,

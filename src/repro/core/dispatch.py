@@ -35,7 +35,6 @@ from repro.tensor.coo import SparseTensor
 #: engine, which has no workers
 _WORKER_ONLY = frozenset(
     {
-        "chunks_per_worker",
         "fault_plan",
         "max_retries",
         "on_failure",

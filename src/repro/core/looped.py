@@ -34,13 +34,13 @@ import numpy as np
 
 from repro.core.common import (
     LocalOutput,
-    _sort_passes,
     assemble_output,
     coo_row_bytes,
     expand_ranges,
     partition_subtensors,
     prepare_x,
     prepare_y_sorted,
+    sort_passes,
 )
 from repro.core.htycache import HtYCache, cached_plan
 from repro.core.kernels import (
@@ -403,7 +403,7 @@ def looped_contract(
             # A merge of sorted runs moves every row once per pass, like
             # the sort it replaces, so the charge is the same either way.
             sort_bytes = int(z.nnz * coo_row_bytes(plan.out_order)
-                             * _sort_passes(z.nnz))
+                             * sort_passes(z.nnz))
             for kind in (AccessKind.READ, AccessKind.WRITE):
                 profile.record_traffic(
                     DataObject.Z, Stage.OUTPUT_SORTING, kind,

@@ -16,14 +16,17 @@ and map to these worker-side code points:
 ===================== =================================================
 ``input_processing``  stage 1 — before building one Y span's partial
                       grouping (kill/delay) or on its payload (corrupt)
-``index_search``      stages 2–4 — before running the fused kernel on a
-                      claimed chunk
-``accumulation``      after the fused kernel, before the chunk result
-                      is shipped (corrupt perturbs the payload here)
-``writeback``         after the chunk result was shipped — the parent
-                      already holds it when the worker dies
-``output_sorting``    after the worker's claim loop drains, before its
-                      ``done`` message
+``index_search``      stages 2–4 — before running the fused kernel on the
+                      chunk the parent handed the worker (or before a
+                      served ``contract()`` call)
+``accumulation``      after the fused kernel (or the served call), before
+                      the result is shipped (corrupt perturbs the
+                      payload here)
+``writeback``         after the result was shipped — the parent already
+                      holds it when the worker dies
+``output_sorting``    when the parent stops the worker after its last
+                      unit, before it exits (the parent counts the
+                      non-zero exit as a worker failure)
 ===================== =================================================
 
 A :class:`FaultSpec` pins ``worker``/``unit`` or leaves them as
@@ -35,7 +38,9 @@ remembers fired specs — so a single crash is recoverable. Specs with
 the fault *irrecoverable* and exercises retry exhaustion
 (:class:`~repro.errors.PoolDegradedError` / serial degradation).
 
-Plans reach spawned workers as pickled process arguments; the
+Plans reach spawned workers as pickled process arguments; a served
+request's own plan rides its payload and overrides the pool's for that
+request. The
 ``REPRO_FAULTS`` environment variable (JSON, see
 :meth:`FaultPlan.from_env`) activates a plan without touching call
 sites — ``parallel_sparta`` reads it when no explicit ``fault_plan``
@@ -92,7 +97,8 @@ class FaultSpec:
     """One fault: *kind* at *stage*, gated on worker id and unit id.
 
     ``unit`` is the work-unit index at the injection site: the Y-span id
-    for ``input_processing``, the chunk id for the chunk-loop stages.
+    for ``input_processing``, the chunk id for the chunk stages (0 for
+    a served request, a job of one unit).
     ``seconds`` is the sleep length of a ``delay`` fault (ignored for
     the other kinds).
     """
@@ -171,8 +177,8 @@ class FaultPlan:
         rng = np.random.default_rng(int(seed))
         kind = str(kinds[int(rng.integers(0, len(kinds)))])
         stage = FAULT_STAGES[int(rng.integers(0, len(FAULT_STAGES)))]
-        # output_sorting fires after the claim loop, where no unit id is
-        # in scope — pin such specs to ANY.
+        # output_sorting fires when the worker is stopped, where no unit
+        # id is in scope — pin such specs to ANY.
         unit = (
             ANY
             if stage == "output_sorting"

@@ -48,7 +48,7 @@ def split_contract_modes(
 
 @dataclass
 class PartialGroups:
-    """One worker's grouped span of Y non-zeros (stage-1 partial build).
+    """One span unit's grouped Y non-zeros (stage-1 partial build).
 
     A partial is the ckeys-argsort + group-boundary step of the COO→HtY
     conversion restricted to a contiguous span ``[lo, hi)`` of Y's rows:
@@ -369,9 +369,11 @@ class HashTensor:
         """Reassemble an HtY from externally owned backing arrays.
 
         Zero-copy: the arrays (typically views of
-        :mod:`multiprocessing.shared_memory` blocks exported by
-        :mod:`repro.parallel.procpool`) are adopted as-is, so a worker
-        process probes the exact bytes the parent built. The caller owns
+        :mod:`multiprocessing.shared_memory` blocks exported by the
+        process runtime, :func:`repro.parallel.procpool.export_operands`)
+        are adopted as-is, so a worker process probes the exact bytes
+        the parent built; a worker keeps the attachment for every chunk
+        it is handed over the same operands. The caller owns
         the buffers' lifetime — the result is marked ``shared=True`` and
         must never outlive them (in particular it must not be stored in
         an :class:`~repro.core.htycache.HtYCache`, which refuses such

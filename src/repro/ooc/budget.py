@@ -142,15 +142,6 @@ class MemoryBudget:
         """Headroom left under the cap (0 when over)."""
         return max(self.cap - self.used, 0)
 
-    def share(self, fraction: float, *, floor: int = 1 << 20) -> int:
-        """A planning share of the cap: ``max(cap * fraction, floor)``.
-
-        The engine sizes spill runs and merge windows from shares of
-        the cap; the floor keeps degenerate budgets from producing
-        byte-sized runs.
-        """
-        return max(int(self.cap * float(fraction)), int(floor))
-
     def subdivide(
         self,
         fractions: Dict[str, float],

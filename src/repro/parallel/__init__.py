@@ -22,8 +22,6 @@ from repro.parallel.partition import (
     even_spans,
     partition_imbalance,
     partition_subtensors,
-    select_units,
-    tag_units,
 )
 from repro.parallel.procpool import (
     DEFAULT_CHUNKS_PER_WORKER,
@@ -63,6 +61,4 @@ __all__ = [
     "resolve_start_method",
     "run_is_sorted",
     "runs_strictly_ordered",
-    "select_units",
-    "tag_units",
 ]

@@ -13,12 +13,12 @@ for that loop:
   true multi-core wall-clock scaling;
 * ``backend="process"`` — :class:`ProcessExecutor` over a
   :class:`~repro.parallel.procpool.SpartaProcessPool`: operands are
-  exported to shared memory, persistent worker processes claim
-  sub-tensor chunks through a shared counter (work stealing), and the
-  parent gathers per-chunk outputs in deterministic chunk order. With
-  ``parallel_stage1`` the same pool first builds HtY partials while
-  the parent sorts X — one pool start-up for all five stages. This
-  backend measures *real* wall-clock scaling on multi-core hosts
+  exported to shared memory, the parent hands each idle worker process
+  its next sub-tensor chunk, and it gathers per-chunk outputs in
+  deterministic chunk order. With ``parallel_stage1`` the same pool
+  first builds HtY partials while the parent sorts X — one pool
+  start-up for all five stages. This backend measures *real*
+  wall-clock scaling on multi-core hosts
   (:attr:`ParallelResult.wall_seconds`).
 
 The serial stages around the loop are parallel too: stage 1 partitions
@@ -75,6 +75,10 @@ from repro.parallel.procpool import (
     RecoveryLog,
     RecoveryPolicy,
     SpartaProcessPool,
+    export_operands,
+    export_y,
+    release_blocks,
+    run_chunk,
 )
 from repro.tensor.coo import SparseTensor
 
@@ -130,7 +134,6 @@ def parallel_sparta(
     num_buckets: Optional[int] = None,
     hty_cache: Optional[HtYCache] = None,
     start_method: Optional[str] = None,
-    chunks_per_worker: int = DEFAULT_CHUNKS_PER_WORKER,
     parallel_stage1: bool = True,
     merge_output: bool = True,
     fault_plan: Optional[FaultPlan] = None,
@@ -151,8 +154,9 @@ def parallel_sparta(
     ``"off"`` here). ``backend="process"`` runs the workers as separate
     processes over shared-memory operands (see
     :mod:`repro.parallel.procpool`); ``start_method``
-    ("fork"/"spawn"/"forkserver") and ``chunks_per_worker``
-    (work-stealing granularity) apply only there.
+    ("fork"/"spawn"/"forkserver") applies only there. That backend cuts
+    :data:`~repro.parallel.procpool.DEFAULT_CHUNKS_PER_WORKER` chunks
+    per worker and hands each idle worker the next one.
 
     ``parallel_stage1`` builds HtY from per-worker partial groupings
     merged in the parent (stage 1 parallel; skipped when an
@@ -162,15 +166,16 @@ def parallel_sparta(
     balance cumulative non-zeros. Output is bit-identical across
     backends, worker counts and all of these switches.
 
-    Fault tolerance: worker failures (hard death, hang past
-    ``unit_timeout``, corrupt payload) lose only the failed worker's
-    chunks, which are reassigned and recomputed — up to ``max_retries``
-    respawn rounds, after which ``on_failure="serial"`` recomputes the
-    missing chunks with the serial fused kernel in the parent (setting
-    ``profile.flags["degraded"]``) while the default ``"raise"`` raises
-    :class:`~repro.errors.PoolDegradedError`. ``timeout`` bounds each
-    parallel phase end to end (not recoverable — raises
-    :class:`~repro.errors.ParallelError` naming the pending chunks).
+    Fault tolerance: a worker failure (hard death, hang past
+    ``unit_timeout``, corrupt payload) loses only the chunk the worker
+    held; the worker is respawned and the chunk handed out again — up
+    to ``max_retries`` times per chunk, after which
+    ``on_failure="serial"`` recomputes it with the serial fused kernel
+    in the parent (setting ``profile.flags["degraded"]``) while the
+    default ``"raise"`` raises :class:`~repro.errors.PoolDegradedError`.
+    ``timeout`` bounds each parallel phase end to end (not recoverable
+    — raises :class:`~repro.errors.ParallelError` naming the pending
+    chunks).
     Recovered runs stay bit-identical to serial, including the Table-2
     traffic accounting. ``fault_plan`` injects deterministic faults for
     testing (see :mod:`repro.faults`); when omitted, the
@@ -199,7 +204,7 @@ def parallel_sparta(
     spans on the parent track plus per-worker timelines — spawn/claim
     instants, per-chunk compute spans, fault and recovery events —
     merged from the workers' own records (process backend: shipped back
-    over the result pipes). ``None`` records nothing and adds no
+    over the worker pipes). ``None`` records nothing and adds no
     measurable overhead.
     """
     if threads <= 0:
@@ -226,7 +231,6 @@ def parallel_sparta(
         executor = ProcessExecutor(
             threads, parallel_stage1=parallel_stage1, policy=policy,
             log=log, fault_plan=fault_plan, start_method=start_method,
-            chunks_per_worker=chunks_per_worker,
         )
     merge = merge_fused_runs if merge_output else None
     if memory_budget is None:
@@ -284,7 +288,7 @@ def _fault_retry(
     serial_attempt,
     what: str,
 ):
-    """In-process analogue of the pool's reassign/respawn loop.
+    """In-process analogue of the pool's respawn-and-retry loop.
 
     Thread-backend faults surface as :class:`~repro.faults.InjectedFault`
     (a hard kill makes no sense in-process); each retry re-runs the same
@@ -501,12 +505,30 @@ class ThreadExecutor:
         pass
 
 
+@dataclass
+class WorkerChunk:
+    """One accepted chunk's statistics, tagged with who computed it.
+
+    The output arrays went to the sink when the chunk was accepted; only
+    the numbers stay here. The parent's serial fallback reports as
+    worker ``-1``.
+    """
+
+    worker: int
+    products: int
+    nnz: int
+    counters: Dict[str, int]
+    hash_probes: int
+    seconds: float
+
+
 class ProcessExecutor:
-    """Work-stealing chunks on shared-memory worker processes.
+    """Parent-assigned chunks on shared-memory worker processes.
 
     With ``parallel_stage1`` the pool starts before X is prepared and
     builds the HtY partials first; otherwise it starts when there are
-    chunks to compute.
+    chunks to compute. The executor owns the shared blocks it exports
+    and unlinks them when it closes.
     """
 
     concurrent = True
@@ -514,64 +536,107 @@ class ProcessExecutor:
     def __init__(self, workers: int, *, parallel_stage1: bool,
                  policy: RecoveryPolicy, log: RecoveryLog,
                  fault_plan: Optional[FaultPlan],
-                 start_method: Optional[str],
-                 chunks_per_worker: int) -> None:
+                 start_method: Optional[str]) -> None:
         self.workers = int(workers)
         self.parallel_stage1 = parallel_stage1
-        self.chunks_per_worker = chunks_per_worker
+        self.policy = policy
+        self.log = log
         self.span_args = {"backend": "process", "threads": self.workers}
         self.stats: List[ThreadStats] = []
         self._pool_kwargs = dict(
-            workers=self.workers, start_method=start_method,
-            policy=policy, fault_plan=fault_plan, recovery_log=log,
+            start_method=start_method, fault_plan=fault_plan,
+            trace=log.tracer is not None,
         )
-        self._log = log
         self._pool: Optional[SpartaProcessPool] = None
-        self._stage1_secs: Optional[Dict[int, float]] = None
+        self._blocks: list = []
+        self._stage1_secs: Dict[int, float] = {}
+
+    def _started_pool(self) -> SpartaProcessPool:
+        if self._pool is None:
+            self._pool = SpartaProcessPool(self.workers, **self._pool_kwargs)
+        return self._pool
 
     def start_hty(self, x, y, plan, num_buckets):
         if not (self.parallel_stage1 and x.nnz > 0 and y.nnz > 0):
             return None
-        self._pool = SpartaProcessPool(y=y, cy=plan.cy, **self._pool_kwargs)
+        pool = self._started_pool()
+        cmodes, fmodes, cdims, fdims = split_contract_modes(
+            y.order, y.shape, plan.cy
+        )
+        yspec = export_y(y.indices, y.values, cmodes, fmodes, cdims, fdims,
+                         self._blocks)
+        spans = even_spans(y.nnz, self.workers)
+        job = pool.submit(
+            "span", [(i, (yspec, lo, hi)) for i, (lo, hi) in enumerate(spans)]
+        )
+        partials: Dict[int, object] = {}
+
+        def accept(wid, unit, reply):
+            partials[unit], secs = reply
+            self._stage1_secs[wid] = self._stage1_secs.get(wid, 0.0) + secs
+
+        def serial(unit, arg):
+            partials[unit] = build_partial_groups(
+                y.indices, y.values, cmodes, fmodes, cdims, fdims, *arg[1:]
+            )
 
         def finish() -> HashTensor:
-            hty, self._stage1_secs = self._pool.build_hty(num_buckets)
-            return hty
+            pool.wait(job, accept, self.policy, self.log, serial)
+            return HashTensor.merge_partials(
+                [partials[i] for i in range(len(spans))], fdims, cdims,
+                num_buckets=num_buckets,
+            )
 
         return finish
 
     def run(self, px, hty, sink, accept, profile, kernel):
         chunks = partition_subtensors(
             px.ptr,
-            max(self.workers * max(self.chunks_per_worker, 1),
-                sink.min_ranges, 1),
+            max(self.workers * DEFAULT_CHUNKS_PER_WORKER, sink.min_ranges),
         )
         profile.counters["partition_ranges"] = len(chunks)
+        results: Dict[int, WorkerChunk] = {}
+
+        def take(wid, unit, reply):
+            fr, counters, probes, secs = reply
+            accept(unit, fr)
+            results[unit] = WorkerChunk(
+                int(wid), int(fr.products), fr.nnz, counters, int(probes),
+                float(secs),
+            )
+
+        def serial(unit, arg):
+            take(-1, unit, run_chunk(px, hty, arg[1], arg[2],
+                                     f"{ENGINE_NAME}-serial-fallback"))
+
         try:
             if chunks:
-                if self._pool is None:
-                    self._pool = SpartaProcessPool(**self._pool_kwargs)
-                wchunks = self._pool.run_chunks(px, hty, chunks, accept)
-            else:
-                wchunks = []
+                pool = self._started_pool()
+                spec = export_operands(px, hty, self._blocks)
+                job = pool.submit("chunk", [
+                    (i, (spec, lo, hi)) for i, (lo, hi) in enumerate(chunks)
+                ])
+                pool.wait(job, take, self.policy, self.log, serial)
         finally:
             self.close()
+        wchunks = [results[i] for i in range(len(chunks))]
         self.stats, imbalance = self._worker_stats(px, chunks, wchunks)
         _fold_worker_counters(
-            profile, [wc.counters for wc in wchunks], imbalance, self._log
+            profile, [wc.counters for wc in wchunks], imbalance, self.log
         )
         return sum(wc.hash_probes for wc in wchunks)
 
     def _worker_stats(self, px, chunks, wchunks):
         """Fold per-chunk results into per-worker statistics.
 
-        Workers that stole nothing still get a zero row (the scalability
-        experiments index stats by worker id). Fault recovery can add
-        rows beyond the original worker count: respawned workers carry
-        fresh ids past it, and the parent's serial fallback reports as
-        worker ``-1``; they are appended after the original rows (``-1``
-        last), so an undisturbed run's stats are exactly one row per
-        requested worker. Returns ``(stats, imbalance)``.
+        Workers that computed nothing still get a zero row (the
+        scalability experiments index stats by worker id). Fault
+        recovery can add rows beyond the original worker count:
+        respawned workers carry fresh ids past it, and the parent's
+        serial fallback reports as worker ``-1``; they are appended after
+        the original rows (``-1`` last), so an undisturbed run's stats
+        are exactly one row per requested worker. Returns
+        ``(stats, imbalance)``.
         """
         workers = self.workers
         rows: Dict[int, ThreadStats] = {}
@@ -581,10 +646,10 @@ class ProcessExecutor:
 
         for wid in range(workers):
             row(wid)
-        for wid, secs in (self._stage1_secs or {}).items():
+        for wid, secs in self._stage1_secs.items():
             row(wid).stage1_seconds = float(secs)
-        for wc in wchunks:
-            lo, hi = chunks[wc.chunk]
+        for chunk, wc in enumerate(wchunks):
+            lo, hi = chunks[chunk]
             s = row(wc.worker)
             s.subtensors += hi - lo
             s.nnz_x += int(px.ptr[hi] - px.ptr[lo])
@@ -601,6 +666,8 @@ class ProcessExecutor:
         return stats, (max(loads) / mean) if mean else 1.0
 
     def close(self) -> None:
+        """Stop the pool, then close and unlink the exported blocks."""
         if self._pool is not None:
-            self._pool.close()
+            self._pool.close(self.log)
             self._pool = None
+        release_blocks(self._blocks, unlink=True)

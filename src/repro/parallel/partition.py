@@ -8,37 +8,13 @@ count rather than by sub-tensor count.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Tuple
+from typing import List, Tuple
 
 import numpy as np
 
 # The sub-tensor partitioner is part of the core pipeline; re-exported
 # here with the rest of the work decomposition.
 from repro.core.common import partition_subtensors
-
-
-def tag_units(
-    ranges: Iterable[Tuple[int, int]]
-) -> List[Tuple[int, int, int]]:
-    """Attach stable unit ids to partition ranges: ``(unit, lo, hi)``.
-
-    The unit id is the range's position in the original partition and
-    is what the fault-tolerant pool tracks ownership by — reassignment
-    and respawn rounds recompute *by unit id over the original
-    boundaries*, so a recovered run gathers the exact same per-chunk
-    results (and Table-2 accounting) as an undisturbed one.
-    """
-    return [
-        (i, int(lo), int(hi)) for i, (lo, hi) in enumerate(ranges)
-    ]
-
-
-def select_units(
-    units: Iterable[Tuple[int, int, int]], ids: Iterable[int]
-) -> List[Tuple[int, int, int]]:
-    """Subset of tagged *units* whose unit id is in *ids* (order kept)."""
-    wanted = set(int(i) for i in ids)
-    return [u for u in units if u[0] in wanted]
 
 
 def even_spans(n: int, k: int) -> List[Tuple[int, int]]:

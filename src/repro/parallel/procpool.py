@@ -1,57 +1,58 @@
-"""Process-parallel Sparta backend over shared-memory operands (§3.5),
-with fault-tolerant execution.
+"""The process runtime: one worker pool behind the process backend and
+the server (§3.5), with fault-tolerant execution.
 
 The thread executor in :mod:`repro.parallel.executor` shares one
 interpreter across its workers, so it can only *model* multi-core
-scaling. This module runs the same fused sub-tensor decomposition on
-genuinely concurrent ``multiprocessing`` workers:
+scaling. This module runs work on genuinely concurrent
+``multiprocessing`` workers. Every worker runs :func:`worker_main`, one
+loop over its duplex pipe that executes three kinds of task:
 
-* the prepared X arrays (``ptr``, ``fx_rows``, ``cx_ln``, values) and
-  HtY's backing arrays (bucket heads, chain links, table keys, group
-  pointer, free keys, values) are copied once into
-  :mod:`multiprocessing.shared_memory` blocks; workers attach zero-copy
-  views through :meth:`~repro.hashtable.tensor_table.HashTensor.
-  from_shared_buffers`, so per-worker memory stays O(its output);
-* sub-tensor chunks (several per worker) are claimed dynamically
-  through a shared index counter — work stealing, which beats static
-  per-worker ranges when fiber sizes are skewed
-  (``partition_imbalance``);
-* each chunk's :class:`~repro.core.kernels.FusedRange` ships back
-  tagged with its chunk id and the parent hands it to the pipeline's
-  sink under that id, so the gathered output is bit-identical to the
-  serial fused engine no matter which worker computed which chunk
-  (chunks snap to sub-tensor boundaries, so no output key ever spans
-  two chunks).
+* ``"span"`` — stage 1: group one span of Y's COO rows into a
+  :class:`~repro.hashtable.tensor_table.PartialGroups`;
+* ``"chunk"`` — stages 2–4: run the fused kernel over one sub-tensor
+  chunk of the shared operands;
+* ``"contract"`` — one whole public :func:`~repro.core.contract` call,
+  the unit :class:`~repro.serve.server.SpTCServer` runs per request.
 
-Fault tolerance (the recovery half of :mod:`repro.faults`): every
-worker *announces* each claim on the result queue before computing it,
-so the parent always knows which chunk a worker owns. Worker failures
-split into three classes:
+Span and chunk operands live in :mod:`multiprocessing.shared_memory`
+blocks: the prepared X arrays (``ptr``, ``fx_rows``, ``cx_ln``, values)
+and HtY's backing arrays are copied once, and workers attach zero-copy
+views through :meth:`~repro.hashtable.tensor_table.HashTensor.
+from_shared_buffers`, so per-worker memory stays O(its output). A worker
+keeps its attachment while consecutive units name the same operands.
+
+The parent hands out the units (:meth:`SpartaProcessPool.wait`): each
+idle worker gets the next one, so a worker that drew a light chunk
+takes more work instead of idling (which beats static per-worker ranges
+when fiber sizes are skewed, ``partition_imbalance``), and the parent
+always knows which worker owns which unit. Every result ships back
+tagged with its unit id and the caller hands it to the pipeline's sink
+under that id, so the gathered output is bit-identical to the serial
+fused engine no matter which worker computed which chunk (chunks snap
+to sub-tensor boundaries, so no output key ever spans two chunks).
+
+Fault tolerance (the recovery half of :mod:`repro.faults`). Worker
+failures split into three classes:
 
 * a Python **exception** in a worker is deterministic — recomputing the
-  chunk would raise again — so it surfaces immediately as
-  :class:`~repro.errors.WorkerCrashError`;
-* a **hard death** (killed process), a **hang** (no result within
-  ``unit_timeout`` of a claim — the worker is force-killed) or a
+  unit would raise again — so it surfaces immediately as
+  :class:`~repro.errors.WorkerCrashError`; the worker keeps serving;
+* a **hard death** (killed process), a **hang** (holding one unit
+  longer than ``unit_timeout`` — the worker is force-killed) or a
   **corrupt payload** (the shipped digest does not match the received
-  arrays) loses only the chunks that worker owned; the parent respawns
-  up to ``max_retries`` rounds of replacement workers (fresh worker
-  ids, exponential backoff) that recompute exactly the missing chunks
-  over their original boundaries;
-* if chunks are still missing after the retry budget, the pool is
-  **irrecoverable**: ``on_failure="serial"`` recomputes them with the
-  serial fused kernel in the parent (recording
+  arrays) loses only the unit that worker held: the parent respawns the
+  worker under a fresh id and hands the unit out again, up to
+  ``max_retries`` times per unit, with exponential backoff;
+* a unit still failing after its retries is **irrecoverable**:
+  ``on_failure="serial"`` recomputes it in the parent (recording
   ``flags["degraded"]="serial"`` on the run profile), while the default
-  ``on_failure="raise"`` raises
-  :class:`~repro.errors.PoolDegradedError`.
+  ``on_failure="raise"`` raises :class:`~repro.errors.PoolDegradedError`.
 
 Recovery preserves the bit-identical-to-serial guarantee and the
-byte-exact Table-2 traffic accounting: chunk results are pure functions
-of the shared operands and the chunk's original ``[lo, hi)`` bounds,
-results are keyed by chunk id with first-accepted-wins dedup (a chunk
-reported just before its worker died is never recomputed or
-double-counted), and per-chunk counters/probes fold into the profile
-exactly once.
+byte-exact Table-2 traffic accounting: unit results are pure functions
+of the shared operands and the unit's original ``[lo, hi)`` bounds,
+results are keyed by unit id with first-accepted-wins dedup, and
+per-chunk counters/probes fold into the profile exactly once.
 
 Messaging uses one duplex :func:`multiprocessing.Pipe` per worker, not
 a shared queue, and that choice is load-bearing for fault tolerance: a
@@ -61,45 +62,41 @@ would leave the lock orphaned and deadlock every survivor on a futex.
 With per-worker pipes each connection has exactly one reader and one
 writer, a kill can only sever that worker's own channel (the parent
 sees EOF after draining anything it managed to send), and the parent
-multiplexes with :func:`multiprocessing.connection.wait`. The only
-remaining shared primitive is the claim counter, held for two bytecode
-ops per claim — injected kills always fire outside it, and the phase
-``timeout`` backstops the astronomically narrow kill-during-claim race.
+multiplexes with :func:`multiprocessing.connection.wait`. Workers share
+no other primitive.
 
-Lifetime rules: the **parent** owns the shared blocks — it creates them
-before the workers start and closes *and unlinks* them after the pool
-drains, including on error paths. Workers only attach and close. Under
-the ``fork`` start method (the default where available) children
-inherit the parent's address space and environment; under ``spawn``
-they re-import :mod:`repro`, for which the parent temporarily extends
-``PYTHONPATH`` with its own package root.
+Lifetime rules: the caller that exports shared blocks owns them — it
+creates them and closes *and unlinks* them, including on error paths;
+workers only attach and close. Workers are not daemonic, so a worker
+may start a pool of its own (a served ``contract(backend="process")``);
+each pool registers its teardown with
+:class:`multiprocessing.util.Finalize`, so an open pool is still stopped
+before the interpreter joins its children at exit. Under the ``fork``
+start method (the default where available) children inherit the
+parent's address space and environment; under ``spawn`` they re-import
+:mod:`repro`, for which the parent temporarily extends ``PYTHONPATH``
+with its own package root.
 """
 
 from __future__ import annotations
 
+import itertools
 import os
 import time
 import traceback
+from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-)
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import multiprocessing as mp
-from dataclasses import replace as _dc_replace
 from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
+from multiprocessing import util as mp_util
 
 import numpy as np
 
 from repro.core.common import PreparedX
-from repro.core.kernels import FusedRange, fused_compute
+from repro.core.kernels import fused_compute
 from repro.core.profile import RunProfile
 from repro.errors import (
     ContractionError,
@@ -109,17 +106,10 @@ from repro.errors import (
 )
 from repro.faults import ANY, FaultInjector, FaultPlan, payload_digest
 from repro.obs.tracer import CAT_WORKER, Tracer
-from repro.hashtable.tensor_table import (
-    HashTensor,
-    PartialGroups,
-    build_partial_groups,
-    split_contract_modes,
-)
-from repro.parallel.partition import even_spans, select_units, tag_units
-from repro.tensor.coo import SparseTensor
+from repro.hashtable.tensor_table import HashTensor, build_partial_groups
 
-#: chunks per worker claimed through the shared counter; >1 so a worker
-#: that drew a light chunk steals more work instead of idling
+#: chunks per worker the process executor cuts; >1 so a worker that drew
+#: a light chunk takes more work instead of idling
 DEFAULT_CHUNKS_PER_WORKER = 4
 
 #: seconds between liveness checks while waiting on worker pipes
@@ -127,7 +117,7 @@ _POLL_SECONDS = 0.25
 
 #: absolute path of the directory containing the ``repro`` package,
 #: prepended to PYTHONPATH for spawn-mode children
-_PACKAGE_ROOT = os.path.abspath(
+PACKAGE_ROOT = os.path.abspath(
     os.path.join(os.path.dirname(__file__), os.pardir, os.pardir)
 )
 
@@ -142,13 +132,14 @@ ON_FAILURE = ("raise", "serial")
 class RecoveryPolicy:
     """How the pool reacts to worker failure.
 
-    ``max_retries`` bounds respawn rounds (0 disables respawn);
-    ``on_failure`` picks raise-vs-serial once retries are exhausted;
-    ``unit_timeout`` is the per-claim hang detector (a worker that sits
-    on one claimed unit longer than this is force-killed and its units
-    reassigned); ``timeout`` is the whole-phase deadline, which is
-    *not* recoverable — it raises :class:`~repro.errors.ParallelError`
-    naming the still-pending chunk ids.
+    ``max_retries`` bounds how often one unit is handed out again after
+    its worker failed (0 disables retries); ``on_failure`` picks
+    raise-vs-serial for a unit past its retries; ``unit_timeout`` is the
+    per-unit hang detector (a worker that holds one unit longer than
+    this is force-killed and the unit handed out again); ``timeout`` is
+    the deadline of one :meth:`SpartaProcessPool.wait`, which is *not*
+    recoverable — it raises :class:`~repro.errors.ParallelError` naming
+    the still-pending unit ids.
     """
 
     max_retries: int = 2
@@ -169,10 +160,10 @@ class RecoveryPolicy:
                 f"max_retries must be >= 0, got {self.max_retries}"
             )
 
-    def backoff(self, round_index: int) -> float:
-        """Exponential backoff before respawn round *round_index* (1-based)."""
+    def backoff(self, attempt: int) -> float:
+        """Exponential backoff before retry *attempt* (1-based)."""
         return min(
-            self.backoff_base * (2.0 ** (round_index - 1)),
+            self.backoff_base * (2.0 ** (attempt - 1)),
             self.backoff_cap,
         )
 
@@ -188,8 +179,8 @@ class RecoveryLog:
     ``tracer`` (a :class:`repro.obs.Tracer`, attached by the executor
     when the caller asked for a trace) additionally receives recovery
     instant events and the span records workers ship back over their
-    result pipes; it stays ``None`` — and everything here is a no-op —
-    on untraced runs.
+    pipes; it stays ``None`` — and everything here is a no-op — on
+    untraced runs.
     """
 
     counters: Dict[str, int] = field(default_factory=dict)
@@ -209,6 +200,12 @@ class RecoveryLog:
         """Fold worker-shipped trace records into the attached tracer."""
         if self.tracer is not None and records:
             self.tracer.ingest(records)
+
+    def worker_failed(self, wid: int, reason: str) -> None:
+        """Record one worker failure: counter, reason and event."""
+        self.bump("ft_worker_failures")
+        self.failures.append(f"worker {wid}: {reason}")
+        self.note_event("worker_failure", worker=int(wid), reason=reason)
 
 
 # ----------------------------------------------------------------------
@@ -238,45 +235,56 @@ class SharedOperandSpec:
     contract_dims: Tuple[int, ...]
 
 
-def _export_array(
-    arr: np.ndarray, blocks: List[shared_memory.SharedMemory]
-) -> SharedArraySpec:
-    """Copy *arr* into a fresh shared block owned by the caller."""
-    arr = np.ascontiguousarray(arr)
-    shm = shared_memory.SharedMemory(create=True, size=max(arr.nbytes, 1))
-    blocks.append(shm)
-    view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-    view[...] = arr
-    return SharedArraySpec(shm.name, tuple(arr.shape), arr.dtype.str)
-
-
-def _attach_block(name: str) -> shared_memory.SharedMemory:
-    """Attach to an existing block without taking ownership.
-
-    Python 3.13+ supports ``track=False`` so the attach never touches
-    the resource tracker. On older versions the attach re-registers the
-    name, which is harmless here: ``multiprocessing`` children share
-    the parent's tracker process (its fd is inherited under fork and
-    passed through spawn preparation data) and registration is
-    idempotent per name, so the parent's single ``unlink()`` still
-    cleans the entry exactly once — even when a worker is killed
-    between attach and detach.
-    """
-    try:
-        return shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track parameter
-        return shared_memory.SharedMemory(name=name)
-
-
-def _attach_array(
-    spec: SharedArraySpec, blocks: List[shared_memory.SharedMemory]
+def block_view(
+    spec: SharedArraySpec, shm: shared_memory.SharedMemory
 ) -> np.ndarray:
-    shm = _attach_block(spec.shm_name)
-    blocks.append(shm)
+    """The array *spec* describes, as a view over its block *shm*."""
     return np.ndarray(spec.shape, dtype=np.dtype(spec.dtype), buffer=shm.buf)
 
 
-def _release_blocks(
+def export_array(
+    arr: np.ndarray,
+    blocks: List[shared_memory.SharedMemory],
+    name: Optional[str] = None,
+) -> SharedArraySpec:
+    """Copy *arr* into a fresh shared block owned by the caller.
+
+    The block is appended to *blocks*; *name* names the segment (default:
+    a fresh ``psm_`` name).
+    """
+    arr = np.ascontiguousarray(arr)
+    shm = shared_memory.SharedMemory(
+        create=True, size=max(arr.nbytes, 1), name=name
+    )
+    blocks.append(shm)
+    spec = SharedArraySpec(shm.name, tuple(arr.shape), arr.dtype.str)
+    block_view(spec, shm)[...] = arr
+    return spec
+
+
+def attach_array(
+    spec: SharedArraySpec, blocks: List[shared_memory.SharedMemory]
+) -> np.ndarray:
+    """Attach *spec*'s block without taking ownership (a zero-copy view).
+
+    Python 3.13+ supports ``track=False`` so the attach never touches
+    the resource tracker. On older versions the attach re-registers the
+    name, which is harmless here: workers share the parent's tracker
+    process (:func:`start_worker` starts it before any fork, its fd is
+    inherited under fork and passed through spawn preparation data) and
+    registration is idempotent per name, so the owner's single
+    ``unlink()`` still cleans the entry exactly once — even when a
+    worker is killed between attach and detach.
+    """
+    try:
+        shm = shared_memory.SharedMemory(name=spec.shm_name, track=False)
+    except TypeError:  # Python < 3.13: no track parameter
+        shm = shared_memory.SharedMemory(name=spec.shm_name)
+    blocks.append(shm)
+    return block_view(spec, shm)
+
+
+def release_blocks(
     blocks: List[shared_memory.SharedMemory], *, unlink: bool
 ) -> None:
     """Close (and optionally unlink) blocks, leaking none on error.
@@ -285,6 +293,7 @@ def _release_blocks(
     failed ``close`` (e.g. exported buffer still referenced) must not
     skip the ``unlink`` that actually removes the segment from
     ``/dev/shm`` — that was the one teardown path that could leak.
+    *blocks* is emptied.
     """
     for shm in blocks:
         try:
@@ -294,10 +303,9 @@ def _release_blocks(
         if unlink:
             try:
                 shm.unlink()
-            except FileNotFoundError:
+            except Exception:  # already gone, or teardown best-effort
                 pass
-            except Exception:  # pragma: no cover - teardown best-effort
-                pass
+    blocks.clear()
 
 
 @dataclass(frozen=True)
@@ -328,8 +336,8 @@ def export_y(
 ) -> SharedYSpec:
     """Copy Y's COO arrays into shared blocks for stage-1 workers."""
     return SharedYSpec(
-        indices=_export_array(y_indices, blocks),
-        values=_export_array(y_values, blocks),
+        indices=export_array(y_indices, blocks),
+        values=export_array(y_values, blocks),
         contract_modes=tuple(int(m) for m in contract_modes),
         free_modes=tuple(int(m) for m in free_modes),
         contract_dims=tuple(int(d) for d in contract_dims),
@@ -347,20 +355,20 @@ def export_operands(
     The HtY arrays are *copied* into fresh blocks — the source HtY (which
     may live in an :class:`~repro.core.htycache.HtYCache`) is never
     rebound to shared buffers, so cached entries stay valid after the
-    pool unlinks its blocks.
+    owner unlinks its blocks.
     """
     table = hty.table
     arrays = {
-        "ptr": _export_array(px.ptr, blocks),
-        "fx_rows": _export_array(px.fx_rows, blocks),
-        "cx_ln": _export_array(px.cx_ln, blocks),
-        "x_values": _export_array(px.values, blocks),
-        "ht_heads": _export_array(table.heads, blocks),
-        "ht_keys": _export_array(table.keys[: table.size], blocks),
-        "ht_nxt": _export_array(table.nxt[: table.size], blocks),
-        "group_ptr": _export_array(hty.group_ptr, blocks),
-        "free_ln": _export_array(hty.free_ln, blocks),
-        "y_values": _export_array(hty.values, blocks),
+        "ptr": export_array(px.ptr, blocks),
+        "fx_rows": export_array(px.fx_rows, blocks),
+        "cx_ln": export_array(px.cx_ln, blocks),
+        "x_values": export_array(px.values, blocks),
+        "ht_heads": export_array(table.heads, blocks),
+        "ht_keys": export_array(table.keys[: table.size], blocks),
+        "ht_nxt": export_array(table.nxt[: table.size], blocks),
+        "group_ptr": export_array(hty.group_ptr, blocks),
+        "free_ln": export_array(hty.free_ln, blocks),
+        "y_values": export_array(hty.values, blocks),
     }
     return SharedOperandSpec(
         arrays=arrays,
@@ -374,7 +382,7 @@ def attach_operands(
 ) -> Tuple[PreparedX, HashTensor]:
     """Worker-side inverse of :func:`export_operands` (zero-copy)."""
     arrs = {
-        name: _attach_array(aspec, blocks)
+        name: attach_array(aspec, blocks)
         for name, aspec in spec.arrays.items()
     }
     px = PreparedX(
@@ -393,14 +401,147 @@ def attach_operands(
     return px, hty
 
 
+def _attach_y(spec: SharedYSpec, blocks) -> Tuple[np.ndarray, np.ndarray]:
+    return attach_array(spec.indices, blocks), attach_array(
+        spec.values, blocks
+    )
+
+
 # ----------------------------------------------------------------------
-# worker-side claim loops
+# worker side
 # ----------------------------------------------------------------------
-def _claim_next(counter) -> int:
-    with counter.get_lock():
-        idx = int(counter.value)
-        counter.value = idx + 1
-    return idx
+class _Held:
+    """The shared operands a worker keeps attached between units."""
+
+    def __init__(self) -> None:
+        self.spec = None
+        self.value = None
+        self.blocks: List[shared_memory.SharedMemory] = []
+
+    def get(self, spec, attach):
+        """Operands of *spec*; attaches only when the spec changed."""
+        if spec != self.spec:
+            self.release()
+            self.value = attach(spec, self.blocks)
+            self.spec = spec
+        return self.value
+
+    def release(self) -> None:
+        self.spec = self.value = None
+        release_blocks(self.blocks, unlink=False)
+
+
+def _span_task(wid, unit, arg, held, tracer):
+    """Stage 1: one Y span's partial grouping, plus its seconds."""
+    yspec, lo, hi = arg
+    y_idx, y_val = held.get(yspec, _attach_y)
+    t0 = time.perf_counter()
+    pg = build_partial_groups(
+        y_idx, y_val, yspec.contract_modes, yspec.free_modes,
+        yspec.contract_dims, yspec.free_dims, lo, hi,
+    )
+    t1 = time.perf_counter()
+    if tracer is not None:
+        tracer.add_span(
+            "stage1_partial", start=t0, end=t1, cat=CAT_WORKER,
+            unit=int(unit), nnz=int(hi - lo),
+        )
+    return pg, t1 - t0
+
+
+def run_chunk(px: PreparedX, hty: HashTensor, lo: int, hi: int,
+              name: str) -> tuple:
+    """Stages 2–4 over sub-tensors ``[lo, hi)``: the fused range, its
+    counters, its HtY probes and its seconds (a chunk's reply)."""
+    clock = time.perf_counter
+    t0 = clock()
+    view = hty.probe_view()
+    profile = RunProfile(name)
+    fr = fused_compute(
+        px, view, y_structure="hash", accumulator="hash",
+        profile=profile, lo=lo, hi=hi, clock=clock,
+    )
+    return fr, dict(profile.counters), view.table.probes, clock() - t0
+
+
+def _chunk_task(wid, unit, arg, held, tracer):
+    """Stages 2–4 over one chunk of the shared operands."""
+    spec, lo, hi = arg
+    px, hty = held.get(spec, attach_operands)
+    t0 = time.perf_counter()
+    reply = run_chunk(px, hty, lo, hi, f"sparta_parallel-p{wid}")
+    if tracer is not None:
+        tracer.add_span(
+            "chunk", start=t0, end=t0 + reply[3], cat=CAT_WORKER,
+            unit=int(unit), subtensors=int(hi - lo),
+            products=int(reply[0].products),
+        )
+    return reply
+
+
+def _contract_task(wid, unit, payload, held, tracer):
+    """One served request: the exact public ``contract()`` call.
+
+    Operands are registry-pinned descriptors (attached zero-copy) or
+    inline tensors. Because the call is literally ``contract()``, served
+    results are bit-identical and Table-2-traffic-byte-exact to a direct
+    call by construction. The reply carries Z's arrays, the profile (a
+    lossless JSON round trip) and the request's trace records.
+    """
+    from repro.core import contract
+    from repro.serve.registry import attach_pinned
+
+    blocks: List[shared_memory.SharedMemory] = []
+    try:
+        x, y = (
+            attach_pinned(d, blocks) if d[0] == "shm" else d[1]
+            for d in (payload["x"], payload["y"])
+        )
+        rtracer = (
+            Tracer(default_tid=wid + 1) if payload.get("trace") else None
+        )
+        t0 = time.perf_counter()
+        res = contract(
+            x, y, tuple(payload["cx"]), tuple(payload["cy"]),
+            tracer=rtracer, **payload.get("options", {}),
+        )
+        seconds = time.perf_counter() - t0
+        z = res.tensor
+        return {
+            "indices": np.ascontiguousarray(z.indices),
+            "values": np.ascontiguousarray(z.values),
+            "shape": tuple(z.shape),
+            "profile": res.profile.to_json(),
+            "records": rtracer.drain() if rtracer is not None else [],
+            "seconds": seconds,
+        }
+    finally:
+        # close (never unlink — the registry owns the segments) before
+        # the reply is shipped; the result arrays are fresh engine
+        # output, not views into the operands
+        release_blocks(blocks, unlink=False)
+
+
+#: task kind -> (function, fault site before it, site after it, site
+#: after its reply shipped); see the site table in repro.faults
+_TASKS = {
+    "span": (_span_task, "input_processing", None, None),
+    "chunk": (_chunk_task, "index_search", "accumulation", "writeback"),
+    "contract": (
+        _contract_task, "index_search", "accumulation", "writeback"
+    ),
+}
+
+
+def _digested(kind: str, reply) -> Tuple[np.ndarray, ...]:
+    """The arrays of a *kind* reply that its digest covers."""
+    if kind == "span":
+        pg = reply[0]
+        return pg.group_keys, pg.group_ptr, pg.free_ln, pg.values
+    if kind == "chunk":
+        fr = reply[0]
+        return fr.out_fgrp, fr.out_fy, fr.out_vals
+    return reply["indices"], reply["values"]
 
 
 def _send(conn, msg) -> None:
@@ -411,226 +552,75 @@ def _send(conn, msg) -> None:
         os._exit(1)
 
 
-def _run_span_units(
+def worker_main(
     wid: int,
-    y_idx: np.ndarray,
-    y_val: np.ndarray,
-    yspec: SharedYSpec,
-    units: Sequence[Tuple[int, int, int]],
-    counter,
-    conn,
-    inj: FaultInjector,
-    tracer: Optional[Tracer] = None,
-) -> None:
-    """Claim tagged Y spans and ship stage-1 partial groupings.
-
-    With a *tracer*, each claim leaves an instant event and each build a
-    ``stage1_partial`` span on this worker's track; the records ride the
-    ``partial`` message (``tracer.drain()``) so the parent folds them
-    into its own timeline as they arrive.
-    """
-    clock = time.perf_counter
-    while True:
-        idx = _claim_next(counter)
-        if idx >= len(units):
-            break
-        unit, lo, hi = units[idx]
-        _send(conn, ("claim", wid, unit))
-        if tracer is not None:
-            tracer.instant("claim", cat=CAT_WORKER, unit=int(unit))
-        inj.fire("input_processing", unit)
-        t0 = clock()
-        pg = build_partial_groups(
-            y_idx,
-            y_val,
-            yspec.contract_modes,
-            yspec.free_modes,
-            yspec.contract_dims,
-            yspec.free_dims,
-            lo,
-            hi,
-        )
-        t1 = clock()
-        digest = payload_digest(
-            pg.group_keys, pg.group_ptr, pg.free_ln, pg.values
-        )
-        inj.maybe_corrupt("input_processing", unit, (pg.values,))
-        spans = None
-        if tracer is not None:
-            tracer.add_span(
-                "stage1_partial",
-                start=t0,
-                end=t1,
-                cat=CAT_WORKER,
-                unit=int(unit),
-                nnz=int(hi - lo),
-            )
-            spans = tracer.drain()
-        _send(
-            conn, ("partial", wid, unit, pg, t1 - t0, digest, spans)
-        )
-
-
-def _run_chunk_units(
-    wid: int,
-    px: PreparedX,
-    hty: HashTensor,
-    units: Sequence[Tuple[int, int, int]],
-    counter,
-    conn,
-    inj: FaultInjector,
-    tracer: Optional[Tracer] = None,
-) -> None:
-    """Claim tagged chunks, run the fused kernel, ship tagged results.
-
-    With a *tracer*, each claim leaves an instant event and each fused
-    computation a ``chunk`` span on this worker's track, shipped with
-    the chunk result (``tracer.drain()``).
-    """
-    clock = time.perf_counter
-    while True:
-        idx = _claim_next(counter)
-        if idx >= len(units):
-            break
-        unit, lo, hi = units[idx]
-        _send(conn, ("claim", wid, unit))
-        if tracer is not None:
-            tracer.instant("claim", cat=CAT_WORKER, unit=int(unit))
-        inj.fire("index_search", unit)
-        t0 = clock()
-        view = hty.probe_view()
-        wprofile = RunProfile(f"sparta_parallel-p{wid}")
-        fr = fused_compute(
-            px,
-            view,
-            y_structure="hash",
-            accumulator="hash",
-            profile=wprofile,
-            lo=lo,
-            hi=hi,
-            clock=clock,
-        )
-        t1 = clock()
-        inj.fire("accumulation", unit)
-        digest = payload_digest(fr.out_fgrp, fr.out_fy, fr.out_vals)
-        inj.maybe_corrupt("accumulation", unit, (fr.out_vals,))
-        spans = None
-        if tracer is not None:
-            tracer.add_span(
-                "chunk",
-                start=t0,
-                end=t1,
-                cat=CAT_WORKER,
-                unit=int(unit),
-                subtensors=int(hi - lo),
-                products=int(fr.products),
-            )
-            spans = tracer.drain()
-        _send(
-            conn,
-            (
-                "chunk",
-                wid,
-                unit,
-                fr,
-                dict(wprofile.counters),
-                view.table.probes,
-                t1 - t0,
-                digest,
-                spans,
-            ),
-        )
-        inj.fire("writeback", unit)
-    inj.fire("output_sorting", ANY)
-
-
-def _worker_tracer(wid: int, trace: bool) -> Optional[Tracer]:
-    """Per-worker tracer on track ``wid + 1``, with a spawn marker."""
-    if not trace:
-        return None
-    tracer = Tracer(default_tid=wid + 1)
-    tracer.instant("worker_start", cat=CAT_WORKER, worker=wid)
-    return tracer
-
-
-def _pool_worker_main(
-    wid: int,
-    yspec: Optional[SharedYSpec],
-    span_units: Sequence[Tuple[int, int, int]],
-    span_counter,
-    chunk_counter,
     conn,
     fault_plan: Optional[FaultPlan] = None,
     trace: bool = False,
 ) -> None:
-    """The pool's one worker: stage-1 spans, then fused chunks.
+    """The runtime's one worker: run each unit the parent sends.
 
-    With a *yspec*, the worker first claims tagged Y spans through
-    *span_counter* and ships each span's
-    :class:`~repro.hashtable.tensor_table.PartialGroups` back to the
-    parent (which merges them into HtY while this worker idles on its
-    pipe), then reports ``phase_done``. With a *chunk_counter*, it then
-    waits for the parent to send the exported operands and tagged chunk
-    list over the same duplex pipe, and claims chunks through the
-    counter until none remain. Respawned workers run one phase each:
-    spans only (no *chunk_counter*) or chunks only (no *yspec*).
+    A message is ``(kind, unit, arg)`` for a kind of :data:`_TASKS`;
+    ``None`` stops the worker. A finished unit ships back as ``("ok",
+    wid, unit, reply, digest, spans)``: the digest is taken before a
+    ``corrupt`` fault can perturb the reply, and *spans* are this
+    worker's trace records (with *trace*). A unit that raised ships
+    ``("error", wid, unit, traceback)`` and the worker keeps serving.
+    A ``contract`` payload's own fault plan overrides the pool's.
+
+    The worker also exits when its parent dies without stopping it. The
+    pipe alone cannot tell: under fork a worker inherits the parent's
+    end of its own pipe, so it never reads EOF; the parent sentinel
+    fires instead. An orphan would otherwise wait forever, and hold the
+    resource tracker open so the parent's segments are never cleaned.
     """
-    blocks: List[shared_memory.SharedMemory] = []
-    tracer = _worker_tracer(wid, trace)
+    tracer = None
+    if trace:
+        tracer = Tracer(default_tid=wid + 1)
+        tracer.instant("worker_start", cat=CAT_WORKER, worker=wid)
+    injector = FaultInjector(fault_plan, wid, tracer=tracer)
+    held = _Held()
+    watch = [conn, mp.parent_process().sentinel]
     try:
-        inj = FaultInjector(fault_plan, wid, tracer=tracer)
-        if yspec is not None:
-            y_idx = _attach_array(yspec.indices, blocks)
-            y_val = _attach_array(yspec.values, blocks)
-            _run_span_units(
-                wid, y_idx, y_val, yspec, span_units, span_counter, conn,
-                inj, tracer,
-            )
-            _send(
-                conn,
-                ("phase_done", wid, tracer.drain() if tracer else None),
-            )
-        if chunk_counter is not None:
+        while True:
             try:
-                _, spec, chunk_units = conn.recv()
-            except (EOFError, OSError):  # parent tore the pool down
+                if conn not in mp_connection.wait(watch):
+                    return  # the parent died
+                msg = conn.recv()
+            except (EOFError, OSError, KeyboardInterrupt):
+                return  # the parent tore the pool down
+            if msg is None:
+                injector.fire("output_sorting", ANY)
                 return
-            if spec is not None and chunk_units:
-                px, hty = attach_operands(spec, blocks)
-                _run_chunk_units(
-                    wid, px, hty, chunk_units, chunk_counter, conn, inj,
-                    tracer,
-                )
-        _send(
-            conn,
-            ("done", wid, tracer.drain() if tracer else None),
-        )
-    except BaseException:
-        _send(conn, ("error", wid, traceback.format_exc()))
+            kind, unit, arg = msg
+            task, before, after, shipped = _TASKS[kind]
+            inj = injector
+            if kind == "contract" and arg.get("fault_plan") is not None:
+                inj = FaultInjector(arg["fault_plan"], wid)
+            try:
+                if tracer is not None:
+                    tracer.instant("claim", cat=CAT_WORKER, unit=int(unit))
+                inj.fire(before, unit)
+                reply = task(wid, unit, arg, held, tracer)
+                if after is not None:
+                    inj.fire(after, unit)
+                arrays = _digested(kind, reply)
+                digest = payload_digest(*arrays)
+                inj.maybe_corrupt(after or before, unit, arrays[::-1])
+            except Exception:
+                _send(conn, ("error", wid, unit, traceback.format_exc()))
+                continue
+            spans = tracer.drain() if tracer is not None else None
+            _send(conn, ("ok", wid, unit, reply, digest, spans))
+            if shipped is not None:
+                inj.fire(shipped, unit)
     finally:
-        _release_blocks(blocks, unlink=False)
+        held.release()
 
 
 # ----------------------------------------------------------------------
-# parent-side pool driver
+# worker start
 # ----------------------------------------------------------------------
-@dataclass
-class WorkerChunk:
-    """One accepted chunk's statistics, tagged with who computed it.
-
-    The output arrays went to the caller's ``accept`` when the chunk
-    was accepted; only the numbers stay here.
-    """
-
-    worker: int
-    chunk: int
-    products: int
-    nnz: int
-    counters: Dict[str, int]
-    hash_probes: int
-    seconds: float
-
-
 def resolve_start_method(start_method: Optional[str] = None) -> str:
     """``fork`` where available (cheap, inherits state), else ``spawn``."""
     if start_method is not None:
@@ -643,20 +633,32 @@ def resolve_start_method(start_method: Optional[str] = None) -> str:
     return "fork" if "fork" in mp.get_all_start_methods() else "spawn"
 
 
-def _start_worker(ctx, method: str, target, args) -> mp.process.BaseProcess:
-    """Start a daemon worker, with the spawn-mode PYTHONPATH fix.
+def start_worker(ctx, method: str, target, args) -> mp.process.BaseProcess:
+    """Start one worker process the way every pool worker starts.
 
-    Spawned children re-import :mod:`repro`; make sure they can even
-    when the parent was launched with a relative PYTHONPATH from
-    another working directory.
+    The parent's shared-memory resource tracker starts first. A child
+    forked without one starts a private tracker on its first attach
+    (Python < 3.13 registers attaches), and that tracker unlinks the
+    parent's segments when the child exits. Spawned children re-import
+    :mod:`repro`, so ``PYTHONPATH`` is extended with
+    :data:`PACKAGE_ROOT` for the start — they can then import it even
+    when the parent was launched with a relative PYTHONPATH from another
+    working directory. Workers are not daemonic, so they may start
+    workers of their own.
     """
+    try:
+        from multiprocessing import resource_tracker
+
+        resource_tracker.ensure_running()
+    except (ImportError, AttributeError):  # pragma: no cover - no tracker
+        pass
     old_pythonpath = os.environ.get("PYTHONPATH")
     if method == "spawn":
-        os.environ["PYTHONPATH"] = _PACKAGE_ROOT + (
+        os.environ["PYTHONPATH"] = PACKAGE_ROOT + (
             os.pathsep + old_pythonpath if old_pythonpath else ""
         )
     try:
-        p = ctx.Process(target=target, args=args, daemon=True)
+        p = ctx.Process(target=target, args=args, daemon=False)
         p.start()
         return p
     finally:
@@ -667,653 +669,311 @@ def _start_worker(ctx, method: str, target, args) -> mp.process.BaseProcess:
                 os.environ["PYTHONPATH"] = old_pythonpath
 
 
-def _start_piped_worker(
-    ctx, method: str, target, pre_args, fault_plan, trace: bool = False,
-) -> Tuple[mp.process.BaseProcess, mp_connection.Connection]:
-    """Start a worker with its own duplex pipe; return (proc, conn).
-
-    The worker receives ``(*pre_args, child_end, fault_plan, trace)``.
-    The parent closes its copy of the child end immediately after the
-    start so that the worker's exit (clean or killed) severs the
-    connection and the parent observes EOF instead of blocking forever.
-    """
-    parent_conn, child_conn = ctx.Pipe(duplex=True)
-    try:
-        p = _start_worker(
-            ctx,
-            method,
-            target,
-            (*pre_args, child_conn, fault_plan, trace),
-        )
-    except BaseException:
-        _close_conn(parent_conn)
-        _close_conn(child_conn)
-        raise
-    _close_conn(child_conn)
-    return p, parent_conn
-
-
-def _close_conn(conn) -> None:
-    if conn is None:
-        return
-    try:
-        conn.close()
-    except OSError:  # pragma: no cover - teardown best-effort
-        pass
-
-
-def _kill_worker(p: mp.process.BaseProcess) -> None:
-    if p.is_alive():
+def _close(conn) -> None:
+    if conn is not None:
         try:
+            conn.close()
+        except OSError:  # pragma: no cover - teardown best-effort
+            pass
+
+
+def _kill(p: Optional[mp.process.BaseProcess]) -> None:
+    if p is not None:
+        if p.is_alive():
             p.kill()
-        except AttributeError:  # pragma: no cover - py<3.7 fallback
-            p.terminate()
-    p.join(timeout=5.0)
+        p.join(timeout=5.0)
 
 
-def _drain_phase(
-    procs: Dict[int, mp.process.BaseProcess],
-    conns: Dict[int, mp_connection.Connection],
-    pending: Set[int],
-    expected: Set[int],
-    completed: Set[int],
-    handle: Callable[[tuple], bool],
-    payload_tag: str,
-    done_tag: str,
-    log: RecoveryLog,
-    *,
-    deadline: Optional[float] = None,
-    timeout: Optional[float] = None,
-    unit_timeout: Optional[float] = None,
-) -> Dict[int, str]:
-    """Consume the worker pipes until every pending worker resolved.
+class Worker:
+    """One worker slot: its process, its pipe end, the unit it holds.
 
-    Multiplexes the per-worker connections with
-    :func:`multiprocessing.connection.wait`, tracks per-chunk ownership
-    through the workers' ``claim`` messages, checks worker liveness
-    between polls (a dead worker can never hang the parent — its pipe
-    reports EOF once drained), force-kills workers that sit on one
-    claim longer than *unit_timeout*, and verifies payload integrity
-    through *handle* (which returns ``False`` on a digest mismatch,
-    marking the sender faulty). Failed workers' connections are closed
-    and removed from *conns*. Returns ``{wid: reason}`` for every
-    worker that failed — their unreported claims are simply absent from
-    *completed* and the caller reassigns them. Worker exceptions raise
-    :class:`~repro.errors.WorkerCrashError` immediately; blowing the
-    *deadline* raises :class:`~repro.errors.ParallelError` naming the
-    still-pending chunk ids.
+    A respawn replaces the process under a fresh worker id but keeps the
+    slot, so whoever holds the slot (a server dispatch slot) keeps it.
     """
-    claims: Dict[int, Tuple[int, float]] = {}
-    failures: Dict[int, str] = {}
-    pending = set(pending)
 
-    def fail(wid: int, reason: str) -> None:
-        failures[wid] = reason
-        pending.discard(wid)
-        claims.pop(wid, None)
-        _close_conn(conns.pop(wid, None))
-        log.bump("ft_worker_failures")
-        log.note_event("worker_failure", worker=int(wid), reason=reason)
+    def __init__(self) -> None:
+        self.wid = -1
+        self.proc: Optional[mp.process.BaseProcess] = None
+        self.conn: Optional[mp_connection.Connection] = None
+        self.unit: Optional[int] = None
+        self.since = 0.0
 
-    def process(msg) -> None:
-        tag = msg[0]
-        if tag == "claim":
-            _, wid, unit = msg
-            claims[wid] = (int(unit), time.monotonic())
-        elif tag == done_tag:
-            pending.discard(msg[1])
-            claims.pop(msg[1], None)
-            if len(msg) > 2:
-                log.ingest_spans(msg[2])
-        elif tag == "error":
-            raise WorkerCrashError(
-                f"parallel worker {msg[1]} failed:\n{msg[2]}"
-            )
-        elif tag == payload_tag:
-            wid, unit = msg[1], int(msg[2])
-            if handle(msg):
-                completed.add(unit)
-                if claims.get(wid, (None,))[0] == unit:
-                    claims.pop(wid, None)
-            else:
-                log.bump("ft_corrupt_payloads")
-                p = procs.get(wid)
-                if p is not None:
-                    _kill_worker(p)
-                fail(
-                    wid,
-                    f"sent corrupt payload for {payload_tag} {unit}",
-                )
-        # other phases' stray done tags are ignored
 
-    def drain_conn(wid: int) -> None:
-        """Process whatever a (possibly dead) worker managed to send."""
-        conn = conns.get(wid)
-        if conn is None:
-            return
-        try:
-            while conn.poll(0):
-                process(conn.recv())
-        except (EOFError, OSError):
-            _close_conn(conns.pop(wid, None))
+def _stop_workers(workers: List[Worker], log=None) -> None:
+    """Stop idle workers, kill busy ones, close every pipe (idempotent).
 
-    while pending:
-        if deadline is not None and time.monotonic() > deadline:
-            missing = sorted(expected - completed)
-            for wid in sorted(pending):
-                _kill_worker(procs[wid])
-            raise ParallelError(
-                f"parallel pool timed out after {timeout:.1f}s with "
-                f"workers {sorted(pending)} still running and "
-                f"{payload_tag}s {missing} pending"
-            )
-        watch = {
-            conns[wid]: wid for wid in pending if wid in conns
-        }
-        got_message = False
-        if watch:
-            for conn in mp_connection.wait(
-                list(watch), timeout=_POLL_SECONDS
-            ):
-                wid = watch[conn]
-                try:
-                    msg = conn.recv()
-                except (EOFError, OSError):
-                    # Worker end gone; the exit-code check below turns
-                    # this into a failure if it never reported done.
-                    _close_conn(conns.pop(wid, None))
-                    continue
-                got_message = True
-                process(msg)
-        if got_message:
+    An idle worker gets ``None`` and exits on its own. One that exits
+    with a positive code died after its last unit (a fault at the
+    ``output_sorting`` site); with a *log* that counts as a worker
+    failure, though no unit is lost.
+    """
+    for w in workers:
+        if w.proc is not None and w.unit is None:
+            try:
+                w.conn.send(None)
+            except (OSError, ValueError):
+                pass  # already gone
+    for w in workers:
+        if w.proc is None:
             continue
-        now = time.monotonic()
-        if unit_timeout is not None:
-            for wid in list(pending):
-                claim = claims.get(wid)
-                if claim is not None and now - claim[1] > unit_timeout:
-                    _kill_worker(procs[wid])
-                    fail(
-                        wid,
-                        f"hung >{unit_timeout:.1f}s on "
-                        f"{payload_tag} {claim[0]}",
-                    )
-                    log.bump("ft_hung_workers")
-        dead = [
-            wid for wid in pending if procs[wid].exitcode is not None
-        ]
-        for wid in dead:
-            # The worker exited; drain anything still buffered in its
-            # pipe (its done message may be in flight) before declaring
-            # it lost.
-            drain_conn(wid)
-            if wid in pending and procs[wid].exitcode is not None:
-                fail(
-                    wid,
-                    f"died (exit code {procs[wid].exitcode})",
-                )
-    return failures
+        if w.unit is None:
+            w.proc.join(timeout=5.0)
+        _kill(w.proc)
+        code = w.proc.exitcode
+        if log is not None and w.unit is None and code and code > 0:
+            log.worker_failed(w.wid, f"died (exit code {code})")
+        _close(w.conn)
+        w.proc = w.conn = w.unit = None
 
 
-def _recover_units(
-    *,
-    units: Sequence[Tuple[int, int, int]],
-    completed: Set[int],
-    handle: Callable[[tuple], bool],
-    payload_tag: str,
-    round0_procs: Dict[int, mp.process.BaseProcess],
-    round0_conns: Dict[int, mp_connection.Connection],
-    round0_done_tag: str,
-    spawn_worker: Callable[
-        [int, Sequence[Tuple[int, int, int]], object],
-        Tuple[mp.process.BaseProcess, mp_connection.Connection],
-    ],
-    serial_unit: Callable[[int, int, int], None],
-    policy: RecoveryPolicy,
-    ctx,
-    log: RecoveryLog,
-    next_wid: Optional[int] = None,
-) -> int:
-    """Drive one phase to completion: drain, reassign, respawn, degrade.
+@dataclass
+class _Job:
+    """The units of one :meth:`SpartaProcessPool.submit` and their state."""
 
-    Round 0 drains *round0_procs* (already running, one pipe each in
-    *round0_conns*). While units are missing and retries remain, a
-    round of replacement workers (fresh ids starting at *next_wid*,
-    exponential backoff) recomputes exactly the missing units over
-    their original boundaries. Replacement ids never reuse any prior
-    worker id — that is what makes pinned-worker fault specs one-shot
-    across respawns. Exhausted retries either degrade to *serial_unit*
-    in the parent (``on_failure="serial"``) or raise
-    :class:`~repro.errors.PoolDegradedError`. Returns the next unused
-    worker id, for callers running several phases.
-    """
-    deadline = (
-        None
-        if policy.timeout is None
-        else time.monotonic() + policy.timeout
-    )
-    expected = {u[0] for u in units}
-    failures: Dict[int, str] = {}
-    failures.update(
-        _drain_phase(
-            round0_procs,
-            round0_conns,
-            set(round0_procs),
-            expected,
-            completed,
-            handle,
-            payload_tag,
-            round0_done_tag,
-            log,
-            deadline=deadline,
-            timeout=policy.timeout,
-            unit_timeout=policy.unit_timeout,
-        )
-    )
-    if next_wid is None:
-        next_wid = max(round0_procs, default=-1) + 1
-    spawned: Dict[int, mp.process.BaseProcess] = {}
-    spawned_conns: List[mp_connection.Connection] = []
-    try:
-        rounds = 0
-        while expected - completed and rounds < policy.max_retries:
-            rounds += 1
-            log.bump("ft_recovery_rounds")
-            log.note_event(
-                "respawn_round",
-                round=rounds,
-                missing=len(expected - completed),
-            )
-            time.sleep(policy.backoff(rounds))
-            subset = select_units(units, expected - completed)
-            log.bump("ft_reassigned_units", len(subset))
-            counter = ctx.Value("q", 0)
-            n_workers = max(
-                1, min(len(round0_procs) or 1, len(subset))
-            )
-            procs: Dict[int, mp.process.BaseProcess] = {}
-            conns: Dict[int, mp_connection.Connection] = {}
-            for _ in range(n_workers):
-                wid = next_wid
-                next_wid += 1
-                p, conn = spawn_worker(wid, subset, counter)
-                procs[wid] = p
-                spawned[wid] = p
-                conns[wid] = conn
-                spawned_conns.append(conn)
-            log.bump("ft_respawned_workers", n_workers)
-            failures.update(
-                _drain_phase(
-                    procs,
-                    conns,
-                    set(procs),
-                    expected,
-                    completed,
-                    handle,
-                    payload_tag,
-                    "done",
-                    log,
-                    deadline=deadline,
-                    timeout=policy.timeout,
-                    unit_timeout=policy.unit_timeout,
-                )
-            )
-            for p in procs.values():
-                p.join(timeout=5.0)
-    finally:
-        for p in spawned.values():
-            _kill_worker(p)
-        for conn in spawned_conns:
-            _close_conn(conn)
-    log.failures.extend(
-        f"worker {wid}: {reason}"
-        for wid, reason in sorted(failures.items())
-    )
-    missing = expected - completed
-    if not missing:
-        return next_wid
-    why = "; ".join(
-        f"worker {wid}: {reason}"
-        for wid, reason in sorted(failures.items())
-    )
-    if policy.on_failure == "serial":
-        log.degraded = True
-        log.bump("ft_degraded_serial")
-        log.note_event(
-            "serial_fallback", units=len(missing), tag=payload_tag
-        )
-        for unit, lo, hi in select_units(units, missing):
-            serial_unit(unit, lo, hi)
-            completed.add(unit)
-        return next_wid
-    raise PoolDegradedError(
-        f"{payload_tag}s {sorted(missing)} still unfinished after "
-        f"{policy.max_retries} retry round(s); worker failures: "
-        f"{why or 'none recorded'}"
-    )
+    kind: str
+    args: Dict[int, object]
+    workers: List[Worker]
+    todo: deque
+    done: set = field(default_factory=set)
+    tries: Dict[int, int] = field(default_factory=dict)
+    lost: set = field(default_factory=set)
+    rounds: int = 0
 
-
-def _make_chunk_handler(
-    results: Dict[int, WorkerChunk],
-    log: RecoveryLog,
-    accept: Callable[[int, FusedRange], None],
-) -> Callable[[tuple], bool]:
-    """Digest-checking, first-accepted-wins handler for chunk messages."""
-
-    def handle(msg) -> bool:
-        _, wid, unit, fr, counters, probes, secs, digest, spans = msg
-        unit = int(unit)
-        if unit in results:
-            return True  # duplicate of an accepted chunk: ignore
-        if payload_digest(fr.out_fgrp, fr.out_fy, fr.out_vals) != digest:
-            return False
-        accept(unit, fr)
-        results[unit] = WorkerChunk(
-            worker=int(wid),
-            chunk=unit,
-            products=int(fr.products),
-            nnz=fr.nnz,
-            counters=counters,
-            hash_probes=int(probes),
-            seconds=float(secs),
-        )
-        log.ingest_spans(spans)
-        return True
-
-    return handle
+    @property
+    def pending(self) -> bool:
+        """Some unit is neither accepted nor given up."""
+        return len(self.done) + len(self.lost) < len(self.args)
 
 
 class SpartaProcessPool:
-    """Persistent worker pool for the parallel pipeline.
+    """Workers that all run :func:`worker_main`, and the loop that
+    drives them.
 
-    Construction starts the workers. Given *y* (and its contract modes
-    *cy*), it first exports Y's COO arrays to shared memory and the
-    workers immediately begin claiming stage-1 spans — so the parent
-    overlaps its own X preparation with the partial builds — and the
-    parent collects them with :meth:`build_hty`. Without *y* the
-    workers wait for chunks. :meth:`run_chunks` then broadcasts the
-    exported operands, runs stages 2–4 and hands every accepted chunk
-    to the caller; :meth:`close` (always, in a ``finally``) tears the
-    pool down. One pool start-up cost covers all five stages.
-
-    *policy* governs failure recovery in both phases (see
-    :class:`RecoveryPolicy`); *fault_plan* injects deterministic faults
-    into the workers (see :mod:`repro.faults`); *recovery_log*
-    accumulates the observability counters the executor folds into the
-    run profile.
+    :meth:`submit` hands the units of one task kind to the idle workers;
+    :meth:`wait` runs the parent-side loop until every unit was accepted
+    once — handing out the rest, verifying each reply's digest, killing
+    workers past ``unit_timeout``, respawning dead ones under fresh ids,
+    and retrying, degrading or raising as the :class:`RecoveryPolicy`
+    says. The process executor runs one pool per ``parallel_sparta``
+    call (a span job, then a chunk job); the server runs one per server,
+    each dispatch slot driving a one-unit ``contract`` job on its own
+    worker. :meth:`close` stops the workers; a pool that is never
+    closed is stopped when it is collected or at interpreter exit.
     """
 
     def __init__(
         self,
-        *,
         workers: int,
-        y: Optional[SparseTensor] = None,
-        cy: Sequence[int] = (),
+        *,
         start_method: Optional[str] = None,
-        policy: Optional[RecoveryPolicy] = None,
         fault_plan: Optional[FaultPlan] = None,
-        recovery_log: Optional[RecoveryLog] = None,
+        trace: bool = False,
     ) -> None:
-        self.workers = int(workers)
-        self.policy = policy or RecoveryPolicy()
-        self.fault_plan = fault_plan
-        self.log = recovery_log or RecoveryLog()
-        #: workers record + ship their own spans iff the attached log
-        #: carries a tracer (the executor sets log.tracer)
-        self._trace = getattr(self.log, "tracer", None) is not None
-        self._blocks: List[shared_memory.SharedMemory] = []
-        self._procs: Dict[int, mp.process.BaseProcess] = {}
-        self._conns: Dict[int, mp_connection.Connection] = {}
-        self._next_wid = self.workers
-        # Kept for the serial stage-1 fallback (degraded mode rebuilds
-        # missing spans in the parent from the original arrays).
-        self._y = y
-        self._yspec: Optional[SharedYSpec] = None
-        self._span_units: List[Tuple[int, int, int]] = []
         self._method = resolve_start_method(start_method)
-        self._ctx = ctx = mp.get_context(self._method)
+        self._ctx = mp.get_context(self._method)
+        self.fault_plan = fault_plan
+        #: workers record and ship their own spans
+        self.trace = trace
+        self._wids = itertools.count()
+        self.workers: List[Worker] = []
+        self._finalizer = mp_util.Finalize(
+            self, _stop_workers, args=(self.workers,), exitpriority=10
+        )
         try:
-            if y is not None:
-                self._yspec = export_y(
-                    y.indices, y.values,
-                    *split_contract_modes(y.order, y.shape, cy),
-                    self._blocks,
-                )
-                self._span_units = tag_units(even_spans(y.nnz, workers))
-            # Both counters must stay referenced for the pool's lifetime:
-            # spawn/forkserver children unpickle their args *after*
-            # __init__ returns, and a collected Value unlinks its
-            # semaphore out from under them.
-            self._counter_a = ctx.Value("q", 0)
-            self._counter_b = ctx.Value("q", 0)
-            for wid in range(self.workers):
-                p, conn = _start_piped_worker(
-                    ctx,
-                    self._method,
-                    _pool_worker_main,
-                    (
-                        wid,
-                        self._yspec,
-                        self._span_units,
-                        self._counter_a,
-                        self._counter_b,
-                    ),
-                    self.fault_plan,
-                    self._trace,
-                )
-                self._procs[wid] = p
-                self._conns[wid] = conn
+            for _ in range(int(workers)):
+                self.workers.append(Worker())
+                self._start(self.workers[-1])
         except BaseException:
             self.close()
             raise
 
-    # ------------------------------------------------------------------
-    def _alive(self) -> Dict[int, mp.process.BaseProcess]:
-        return {
-            wid: p
-            for wid, p in self._procs.items()
-            if p.exitcode is None
-        }
+    def _start(self, w: Worker) -> None:
+        """(Re)start slot *w*'s process under a fresh worker id.
 
-    def _policy(self, timeout: Optional[float]) -> RecoveryPolicy:
-        if timeout is None:
-            return self.policy
-        return _dc_replace(self.policy, timeout=timeout)
-
-    # ------------------------------------------------------------------
-    def build_hty(
-        self,
-        num_buckets: Optional[int] = None,
-        *,
-        timeout: Optional[float] = None,
-    ) -> Tuple[HashTensor, Dict[int, float]]:
-        """Collect every span's partial grouping and merge them into HtY.
-
-        Returns ``(hty, seconds)`` where ``seconds[wid]`` is the stage-1
-        compute time worker *wid* spent across its claimed spans. Spans
-        owned by failed workers are reassigned (respawned stage-1
-        workers, then — policy permitting — a serial rebuild in the
-        parent); the merged HtY is bit-identical either way because
-        partials are pure functions of their span bounds.
+        The parent closes its copy of the child end right after the
+        start, so the worker's exit (clean or killed) severs the
+        connection and the parent observes EOF instead of blocking.
         """
-        partials: Dict[int, PartialGroups] = {}
-        seconds: Dict[int, float] = {wid: 0.0 for wid in self._procs}
+        parent_conn, child_conn = self._ctx.Pipe(duplex=True)
+        wid = next(self._wids)
+        try:
+            proc = start_worker(
+                self._ctx, self._method, worker_main,
+                (wid, child_conn, self.fault_plan, self.trace),
+            )
+        except BaseException:
+            _close(parent_conn)
+            raise
+        finally:
+            _close(child_conn)
+        w.wid, w.proc, w.conn, w.unit = wid, proc, parent_conn, None
 
-        def handle(msg) -> bool:
-            _, wid, unit, pg, secs, digest, spans = msg
-            unit = int(unit)
-            if unit in partials:
-                return True
-            if (
-                payload_digest(
-                    pg.group_keys, pg.group_ptr, pg.free_ln, pg.values
+    # ------------------------------------------------------------------
+    def submit(
+        self,
+        kind: str,
+        units: Sequence[Tuple[int, object]],
+        workers: Optional[List[Worker]] = None,
+    ) -> _Job:
+        """Start a job of ``(unit_id, arg)`` *units* on *workers*.
+
+        Each idle worker (of the pool, or of *workers*) gets its first
+        unit now, so the caller can overlap its own work with theirs.
+        """
+        job = _Job(
+            kind, dict(units), self.workers if workers is None else workers,
+            deque(u for u, _ in units),
+        )
+        for w in job.workers:
+            if w.unit is None and job.todo:
+                self._hand(job, w, job.todo.popleft())
+        return job
+
+    def wait(
+        self,
+        job: _Job,
+        accept: Callable[[int, int, object], None],
+        policy: RecoveryPolicy,
+        log: RecoveryLog,
+        serial: Optional[Callable[[int, object], None]] = None,
+    ) -> None:
+        """Drive *job* until each unit was accepted once.
+
+        ``accept(wid, unit, reply)`` takes each digest-checked reply the
+        first time one arrives. A unit past its retries goes to
+        ``serial(unit, arg)`` in the parent under
+        ``on_failure="serial"``, and raises
+        :class:`~repro.errors.PoolDegradedError` otherwise. A worker
+        exception raises :class:`~repro.errors.WorkerCrashError`;
+        blowing ``policy.timeout`` raises
+        :class:`~repro.errors.ParallelError` naming the pending units.
+        """
+        deadline = (
+            None if policy.timeout is None
+            else time.monotonic() + policy.timeout
+        )
+        while job.pending:
+            if deadline is not None and time.monotonic() > deadline:
+                busy = [w for w in job.workers if w.unit is not None]
+                for w in busy:
+                    _kill(w.proc)
+                raise ParallelError(
+                    f"parallel pool timed out after {policy.timeout:.1f}s "
+                    f"with workers {[w.wid for w in busy]} still running "
+                    f"and {job.kind}s {sorted(set(job.args) - job.done)} "
+                    f"pending"
                 )
-                != digest
+            # Checked only while units are pending: a worker that dies
+            # once its job is done fails the next job it is handed (or
+            # exits non-zero when the pool stops it).
+            self._check(job, accept, policy, log)
+            if not job.pending:
+                break
+            watch = {w.conn: w for w in job.workers}
+            for conn in mp_connection.wait(list(watch), _POLL_SECONDS):
+                self._receive(job, watch[conn], accept, policy, log)
+        if not job.lost:
+            return
+        if policy.on_failure != "serial" or serial is None:
+            raise PoolDegradedError(
+                f"{job.kind}s {sorted(job.lost)} still unfinished after "
+                f"{policy.max_retries} retry round(s); worker failures: "
+                f"{'; '.join(log.failures) or 'none recorded'}"
+            )
+        log.degraded = True
+        log.bump("ft_degraded_serial")
+        log.note_event("serial_fallback", units=len(job.lost), tag=job.kind)
+        for unit in sorted(job.lost):
+            serial(unit, job.args[unit])
+
+    def _hand(self, job: _Job, w: Worker, unit: int) -> None:
+        w.unit, w.since = unit, time.monotonic()
+        try:
+            w.conn.send((job.kind, unit, job.args[unit]))
+        except (OSError, ValueError):
+            pass  # the worker is gone; the liveness check reports it
+
+    def _receive(self, job, w, accept, policy, log) -> None:
+        """Take one message from *w*: a reply, an error or its EOF."""
+        try:
+            msg = w.conn.recv()
+        except (EOFError, OSError):
+            self._fail(job, w, None, policy, log)
+            return
+        unit = msg[2]
+        if msg[0] == "error":
+            w.unit = None
+            raise WorkerCrashError(
+                f"parallel worker {msg[1]} failed on {job.kind} "
+                f"{unit}:\n{msg[3]}"
+            )
+        reply, digest, spans = msg[3:]
+        if payload_digest(*_digested(job.kind, reply)) != digest:
+            log.bump("ft_corrupt_payloads")
+            self._fail(
+                job, w, f"sent corrupt payload for {job.kind} {unit}",
+                policy, log,
+            )
+            return
+        w.unit = None
+        if job.todo:  # its next unit before the sink sees this one
+            self._hand(job, w, job.todo.popleft())
+        if unit not in job.done:
+            job.done.add(unit)
+            log.ingest_spans(spans)
+            accept(msg[1], unit, reply)
+
+    def _check(self, job, accept, policy, log) -> None:
+        """Fail workers that died or held one unit past unit_timeout."""
+        now = time.monotonic()
+        for w in job.workers:
+            proc = w.proc
+            if proc.exitcode is not None:
+                # Its last reply may still sit in the pipe; draining to
+                # EOF fails and respawns it.
+                while job.pending and w.proc is proc and w.conn.poll(0):
+                    self._receive(job, w, accept, policy, log)
+                if job.pending and w.proc is proc:
+                    self._fail(job, w, None, policy, log)
+            elif (
+                policy.unit_timeout is not None and w.unit is not None
+                and now - w.since > policy.unit_timeout
             ):
-                return False
-            partials[unit] = pg
-            seconds[wid] = seconds.get(wid, 0.0) + float(secs)
-            self.log.ingest_spans(spans)
-            return True
+                log.bump("ft_hung_workers")
+                self._fail(
+                    job, w,
+                    f"hung >{policy.unit_timeout:.1f}s on {job.kind} "
+                    f"{w.unit}",
+                    policy, log,
+                )
 
-        yspec = self._yspec
-
-        def spawn(wid, subset, counter):
-            return _start_piped_worker(
-                self._ctx,
-                self._method,
-                _pool_worker_main,
-                (wid, yspec, subset, counter, None),
-                self.fault_plan,
-                self._trace,
-            )
-
-        def serial(unit, lo, hi):
-            partials[unit] = build_partial_groups(
-                self._y.indices,
-                self._y.values,
-                yspec.contract_modes,
-                yspec.free_modes,
-                yspec.contract_dims,
-                yspec.free_dims,
-                lo,
-                hi,
-            )
-
-        self._next_wid = _recover_units(
-            units=self._span_units,
-            completed=set(partials),
-            handle=handle,
-            payload_tag="partial",
-            round0_procs=dict(self._procs),
-            round0_conns=self._conns,
-            round0_done_tag="phase_done",
-            spawn_worker=spawn,
-            serial_unit=serial,
-            policy=self._policy(timeout),
-            ctx=self._ctx,
-            log=self.log,
-            next_wid=self._next_wid,
+    def _fail(self, job, w, reason, policy, log) -> None:
+        """Kill *w*, requeue or give up its unit, respawn it afresh."""
+        _kill(w.proc)
+        _close(w.conn)
+        log.worker_failed(
+            w.wid, reason or f"died (exit code {w.proc.exitcode})"
         )
-        hty = HashTensor.merge_partials(
-            [partials[i] for i in range(len(self._span_units))],
-            yspec.free_dims,
-            yspec.contract_dims,
-            num_buckets=num_buckets,
-        )
-        return hty, seconds
+        unit, attempt = w.unit, 1
+        if unit is not None and unit not in job.done:
+            attempt = job.tries[unit] = job.tries.get(unit, 0) + 1
+            if attempt > policy.max_retries:
+                job.lost.add(unit)
+            else:
+                job.todo.appendleft(unit)
+                log.bump("ft_reassigned_units")
+                if attempt > job.rounds:
+                    job.rounds = attempt
+                    log.bump("ft_recovery_rounds")
+        time.sleep(policy.backoff(attempt))
+        self._start(w)
+        log.bump("ft_respawned_workers")
+        log.note_event("respawn_round", round=attempt, worker=w.wid)
+        if job.todo:
+            self._hand(job, w, job.todo.popleft())
 
     # ------------------------------------------------------------------
-    def run_chunks(
-        self,
-        px: PreparedX,
-        hty: HashTensor,
-        chunks: Sequence[Tuple[int, int]],
-        accept: Callable[[int, FusedRange], None],
-        *,
-        timeout: Optional[float] = None,
-    ) -> List[WorkerChunk]:
-        """Broadcast operands, run stages 2–4, accept chunks once each.
-
-        Must be called exactly once, after :meth:`build_hty` when the
-        pool has a stage-1 phase; the workers exit when their claim
-        loop drains. An empty *chunks* still releases the workers (they
-        exit without computing). Each chunk's output goes to
-        ``accept(chunk_id, fused_range)`` the first time a
-        digest-checked copy of it arrives. Chunks owned by failed
-        workers are recomputed by respawned workers (or serially in the
-        parent once retries exhaust, policy permitting) over their
-        original boundaries, so the output stays bit-identical
-        regardless of who computed what. Returns per-chunk statistics
-        in chunk order.
-        """
-        units = tag_units(chunks)
-        spec = (
-            export_operands(px, hty, self._blocks) if units else None
-        )
-        task = ("chunks", spec, units)
-        alive = self._alive()
-        for wid in list(alive):
-            conn = self._conns.get(wid)
-            if conn is None:
-                del alive[wid]  # failed earlier; pipe already closed
-                continue
-            try:
-                conn.send(task)
-            except (BrokenPipeError, OSError):
-                pass  # exited since the liveness check; drain handles it
-        results: Dict[int, WorkerChunk] = {}
-        handle = _make_chunk_handler(results, self.log, accept)
-        clock = time.perf_counter
-
-        def spawn(wid, subset, counter):
-            p, conn = _start_piped_worker(
-                self._ctx,
-                self._method,
-                _pool_worker_main,
-                (wid, None, (), None, counter),
-                self.fault_plan,
-                self._trace,
-            )
-            try:
-                conn.send(("chunks", spec, subset))
-            except (BrokenPipeError, OSError):
-                pass  # died at start-up; the drain reports it
-            return p, conn
-
-        def serial(unit, lo, hi):
-            t0 = clock()
-            view = hty.probe_view()
-            wprofile = RunProfile("sparta_parallel-serial-fallback")
-            fr = fused_compute(
-                px,
-                view,
-                y_structure="hash",
-                accumulator="hash",
-                profile=wprofile,
-                lo=lo,
-                hi=hi,
-                clock=clock,
-            )
-            accept(unit, fr)
-            results[unit] = WorkerChunk(
-                worker=-1,
-                chunk=unit,
-                products=int(fr.products),
-                nnz=fr.nnz,
-                counters=dict(wprofile.counters),
-                hash_probes=view.table.probes,
-                seconds=clock() - t0,
-            )
-
-        self._next_wid = _recover_units(
-            units=units,
-            completed=set(results),
-            handle=handle,
-            payload_tag="chunk",
-            round0_procs=alive,
-            round0_conns=self._conns,
-            round0_done_tag="done",
-            spawn_worker=spawn,
-            serial_unit=serial,
-            policy=self._policy(timeout),
-            ctx=self._ctx,
-            log=self.log,
-            next_wid=self._next_wid,
-        )
-        for p in self._procs.values():
-            p.join(timeout=10.0)
-        return [results[i] for i in range(len(units))]
-
-    # ------------------------------------------------------------------
-    def close(self) -> None:
-        """Tear down workers, pipes and shared blocks (idempotent)."""
-        for p in self._procs.values():
-            if p.is_alive():
-                p.terminate()
-                p.join(timeout=5.0)
-        for conn in self._conns.values():
-            _close_conn(conn)
-        self._conns = {}
-        _release_blocks(self._blocks, unlink=True)
-        self._blocks = []
+    def close(self, log: Optional[RecoveryLog] = None) -> None:
+        """Stop every worker (idempotent); see :func:`_stop_workers`."""
+        self._finalizer.cancel()
+        _stop_workers(self.workers, log)

@@ -44,8 +44,6 @@ from dataclasses import dataclass, field
 from multiprocessing import shared_memory
 from typing import Dict, List, Optional, Tuple, Union
 
-import numpy as np
-
 from repro.errors import (
     ServeError,
     ServiceOverloadedError,
@@ -54,8 +52,10 @@ from repro.errors import (
 from repro.ooc.budget import MemoryBudget
 from repro.parallel.procpool import (
     SharedArraySpec,
-    _attach_array,
-    _release_blocks,
+    attach_array,
+    block_view,
+    export_array,
+    release_blocks,
 )
 from repro.tensor.coo import SparseTensor
 
@@ -112,8 +112,8 @@ def attach_pinned(
     contraction is done.
     """
     _, idx_spec, val_spec, shape, fingerprint = ref
-    idx = _attach_array(idx_spec, blocks)
-    val = _attach_array(val_spec, blocks)
+    idx = attach_array(idx_spec, blocks)
+    val = attach_array(val_spec, blocks)
     return SparseTensor.from_shared_buffers(
         idx, val, shape, fingerprint=fingerprint
     )
@@ -153,19 +153,6 @@ class OperandRegistry:
             f"{secrets.token_hex(2)}_{suffix}"
         )
 
-    def _export(self, arr: np.ndarray, suffix: str) -> tuple:
-        arr = np.ascontiguousarray(arr)
-        shm = shared_memory.SharedMemory(
-            create=True,
-            size=max(arr.nbytes, 1),
-            name=self._segment_name(suffix),
-        )
-        view = np.ndarray(arr.shape, dtype=arr.dtype, buffer=shm.buf)
-        view[...] = arr
-        return shm, view, SharedArraySpec(
-            shm.name, tuple(arr.shape), arr.dtype.str
-        )
-
     def _evict_for_locked(self, nbytes: int) -> None:
         """Evict LRU zero-refcount entries until *nbytes* fits."""
         if self.budget is None:
@@ -191,9 +178,8 @@ class OperandRegistry:
 
     def _drop_locked(self, entry: PinnedOperand) -> None:
         self._entries.pop(entry.name, None)
-        _release_blocks(entry._blocks, unlink=True)
-        entry._blocks = []
         entry.view = None
+        release_blocks(entry._blocks, unlink=True)
         if self.budget is not None:
             self.budget.release(entry.name, entry.nbytes)
         tb = self.tenant_budgets.get(entry.tenant)
@@ -245,16 +231,14 @@ class OperandRegistry:
             self._evict_for_locked(nbytes)
             blocks: List[shared_memory.SharedMemory] = []
             try:
-                idx_shm, idx_view, idx_spec = self._export(
-                    tensor.indices, "i"
+                idx_spec = export_array(
+                    tensor.indices, blocks, self._segment_name("i")
                 )
-                blocks.append(idx_shm)
-                val_shm, val_view, val_spec = self._export(
-                    tensor.values, "v"
+                val_spec = export_array(
+                    tensor.values, blocks, self._segment_name("v")
                 )
-                blocks.append(val_shm)
             except BaseException:
-                _release_blocks(blocks, unlink=True)
+                release_blocks(blocks, unlink=True)
                 raise
             entry = PinnedOperand(
                 name=name,
@@ -266,8 +250,8 @@ class OperandRegistry:
                 idx_spec=idx_spec,
                 val_spec=val_spec,
                 view=SparseTensor.from_shared_buffers(
-                    idx_view,
-                    val_view,
+                    block_view(idx_spec, blocks[0]),
+                    block_view(val_spec, blocks[1]),
                     tuple(tensor.shape),
                     fingerprint=fingerprint,
                 ),

@@ -9,11 +9,12 @@ service:
   :mod:`repro.serve.net`). Admission control and weighted-fair
   ordering live in :class:`~repro.serve.scheduler.FairScheduler`.
 - One dispatcher thread per execution slot pops fair batches and runs
-  them. ``execution="worker"`` (default) executes on persistent
-  :class:`~repro.serve.pool.ServeWorker` processes whose caches stay
-  warm across requests; ``execution="inline"`` runs ``contract()`` on
-  the dispatcher thread itself (no process boundary — handy for tests
-  and single-process embedding).
+  them. ``execution="worker"`` (default) runs each request as a
+  ``contract`` task on the slot's worker of one
+  :class:`~repro.parallel.procpool.SpartaProcessPool`, whose processes
+  and caches stay warm across requests; ``execution="inline"`` runs
+  ``contract()`` on the dispatcher thread itself (no process boundary
+  — handy for tests and single-process embedding).
 - Batches group requests sharing a *signature* — same pinned Y handle,
   contract modes and options — onto one slot back-to-back, so the
   HtY/plan/kernel caches hit for every follower. A batch whose
@@ -22,13 +23,13 @@ service:
   ``plan`` span (the worker's own cached decision governs execution
   and is identical by determinism).
 - Failure isolation: a killed, hung or corrupting worker affects only
-  the request it was running — the slot respawns (fresh worker id, so
-  pinned fault specs never refire) and the request is retried up to
-  ``max_retries`` times, then recomputed serially in the parent
-  (``on_failure="serial"``, bit-identical by construction) or failed
-  (``"raise"``). Other slots, other tenants and the server itself
-  never restart. Deterministic Python errors fail fast without
-  burning the worker or a retry.
+  the request it was running — the pool's recovery loop respawns the
+  slot's worker (fresh worker id, so pinned fault specs never refire)
+  and retries the request up to ``max_retries`` times, then recomputes
+  it serially in the parent (``on_failure="serial"``, bit-identical by
+  construction) or fails it (``"raise"``). Other slots, other tenants
+  and the server itself never restart. Deterministic Python errors
+  fail fast without burning the worker or a retry.
 - Observability: every request gets a trace id and (when tracing is
   on) a private :class:`~repro.obs.Tracer` carrying
   ``request → queue_wait → plan → execute`` spans plus the engine's
@@ -47,16 +48,17 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.core.profile import RunProfile
-from repro.errors import (
-    ServeError,
-    ServiceOverloadedError,
-    WorkerCrashError,
-)
+from repro.errors import ServeError, ServiceOverloadedError
 from repro.faults import FaultPlan
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import CAT_CONTRACTION, Tracer
 from repro.ooc.budget import MemoryBudget
-from repro.serve.pool import ServeWorker, WorkerDied
+from repro.parallel.procpool import (
+    RecoveryLog,
+    RecoveryPolicy,
+    SpartaProcessPool,
+    Worker,
+)
 from repro.serve.registry import OperandRegistry, PinnedOperand
 from repro.serve.scheduler import FairScheduler, TenantQuota
 from repro.serve.telemetry import TenantStats
@@ -239,9 +241,9 @@ class _Request:
 
 
 class _Slot:
-    """One dispatch slot: a thread plus (optionally) its worker."""
+    """One dispatch slot: a thread plus (optionally) its pool worker."""
 
-    def __init__(self, index: int, worker: Optional[ServeWorker]):
+    def __init__(self, index: int, worker: Optional[Worker]):
         self.index = index
         self.worker = worker
         self.thread: Optional[threading.Thread] = None
@@ -280,7 +282,12 @@ class SpTCServer:
         for tenant, quota in config.quotas.items():
             self.scheduler.register(tenant, quota)
         self._slots: List[_Slot] = []
-        self._next_wid = 0
+        self._pool: Optional[SpartaProcessPool] = None
+        self._policy = RecoveryPolicy(
+            max_retries=config.max_retries,
+            on_failure=config.on_failure,
+            unit_timeout=config.unit_timeout,
+        )
         self._seq = itertools.count(1)
         self._batch_seq = itertools.count(1)
         self._stats_lock = threading.Lock()
@@ -303,14 +310,15 @@ class SpTCServer:
         if self._closed:
             raise ServeError("server is closed")
         self._started = True
-        for i in range(self.config.workers):
-            worker = None
-            if self.config.execution == "worker":
-                worker = ServeWorker(
-                    self._take_wid(),
-                    start_method=self.config.start_method,
-                    fault_plan=self.config.fault_plan,
-                )
+        workers: List[Optional[Worker]] = [None] * self.config.workers
+        if self.config.execution == "worker":
+            self._pool = SpartaProcessPool(
+                self.config.workers,
+                start_method=self.config.start_method,
+                fault_plan=self.config.fault_plan,
+            )
+            workers = list(self._pool.workers)
+        for i, worker in enumerate(workers):
             self._slots.append(_Slot(i, worker))
         for slot in self._slots:
             t = threading.Thread(
@@ -342,9 +350,8 @@ class SpTCServer:
         for slot in self._slots:
             if slot.thread is not None:
                 slot.thread.join(timeout=30.0)
-        for slot in self._slots:
-            if slot.worker is not None:
-                slot.worker.close()
+        if self._pool is not None:
+            self._pool.close()
         self.registry.close()
 
     def __enter__(self) -> "SpTCServer":
@@ -352,10 +359,6 @@ class SpTCServer:
 
     def __exit__(self, *exc) -> None:
         self.close()
-
-    def _take_wid(self) -> int:
-        wid, self._next_wid = self._next_wid, self._next_wid + 1
-        return wid
 
     # ------------------------------------------------------------------
     # operand registry pass-throughs
@@ -689,45 +692,32 @@ class SpTCServer:
             "trace": tracer is not None,
             "fault_plan": req.fault_plan,
         }
-        retries = 0
-        while True:
-            try:
-                reply = slot.worker.run(
-                    payload, timeout=self.config.unit_timeout
-                )
-            except WorkerDied as died:
-                if tracer is not None:
-                    tracer.instant(
-                        "worker_failure",
-                        reason=str(died),
-                        worker=slot.worker.wid,
-                    )
-                slot.worker.respawn(self._take_wid())
-                slot.respawns += 1
-                retries += 1
-                if retries <= self.config.max_retries:
-                    continue
-                if self.config.on_failure == "raise":
-                    raise WorkerCrashError(
-                        f"request {req.request_id} exhausted "
-                        f"{self.config.max_retries} retries: {died}"
-                    ) from died
-                # serial fallback: recompute in the parent — same
-                # contract() call, same bytes; only this request
-                # degrades, the pool and other tenants are untouched
-                tensor, profile, seconds, _, _ = self._run_inline(
-                    req, tracer
-                )
-                profile.set_flag("serve_degraded", "serial")
-                with self._stats_lock:
-                    self.serial_fallbacks += 1
-                if tracer is not None:
-                    tracer.instant(
-                        "serial_fallback", request=req.request_id
-                    )
-                return tensor, profile, seconds, retries, True
-            else:
-                break
+        out: dict = {}
+
+        def accept(wid, unit, reply):
+            out["reply"] = reply
+
+        def serial(unit, arg):
+            # recompute in the parent — same contract() call, same
+            # bytes; only this request degrades, the pool and other
+            # tenants are untouched
+            out["serial"] = self._run_inline(req, tracer)
+
+        log = RecoveryLog(tracer=tracer)
+        pool = self._pool
+        try:
+            job = pool.submit("contract", [(0, payload)], [slot.worker])
+            pool.wait(job, accept, self._policy, log, serial)
+        finally:
+            slot.respawns += log.counters.get("ft_respawned_workers", 0)
+        retries = log.counters.get("ft_worker_failures", 0)
+        if "serial" in out:
+            tensor, profile, seconds, _, _ = out["serial"]
+            profile.set_flag("serve_degraded", "serial")
+            with self._stats_lock:
+                self.serial_fallbacks += 1
+            return tensor, profile, seconds, retries, True
+        reply = out["reply"]
         tensor = SparseTensor(
             reply["indices"],
             reply["values"],

@@ -75,9 +75,3 @@ class TestMemoryBudget:
         b.charge("x", 600)
         assert b.remaining == 400
         assert b.fits(400) and not b.fits(401)
-
-    def test_share_floor(self):
-        b = MemoryBudget("64M")
-        assert b.share(0.5) == 32 << 20
-        # tiny fractions are floored so stages always get workable room
-        assert b.share(1e-9) == 1 << 20

@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import signal
+import subprocess
+import sys
+import time
 
 import numpy as np
 import pytest
@@ -21,6 +25,7 @@ from repro.parallel import (
     parallel_sparta,
     resolve_start_method,
 )
+from repro.parallel.procpool import PACKAGE_ROOT
 from repro.tensor import random_tensor_fibered
 
 HAVE_FORK = "fork" in mp.get_all_start_methods()
@@ -190,3 +195,112 @@ class TestFailureModes:
                 x, y, (1, 2), (0, 1),
                 threads=2, backend="process", start_method="fork",
             )
+
+
+#: A fresh interpreter runs one pool whose first fork precedes every
+#: shared-memory export of the run (stage 1 in the parent, or served by
+#: an HtY cache), kills worker 0 at its first chunk, and checks Z
+#: against serial. Nothing earlier in that process has started the
+#: resource tracker, unlike anywhere inside a pytest session.
+_FRESH_POOL_SCRIPT = """
+import sys
+import numpy as np
+from repro.core import contract
+from repro.core.htycache import HtYCache
+from repro.faults import FaultPlan, FaultSpec
+from repro.parallel import parallel_sparta
+from repro.tensor import random_tensor_fibered
+
+x = random_tensor_fibered((12, 14, 16, 18), 1200, 2, 48, seed=91)
+y = random_tensor_fibered((16, 18, 10, 12), 2000, 2, 200, seed=92)
+modes = ((2, 3), (0, 1))
+ref = contract(x, y, *modes, method="sparta", swap_larger_to_y=False)
+if sys.argv[1] == "serial_stage1":
+    kwargs = {"parallel_stage1": False}
+else:
+    kwargs = {"hty_cache": HtYCache()}
+plan = FaultPlan((FaultSpec("kill", worker=0, stage="index_search"),))
+par = parallel_sparta(x, y, *modes, threads=2, backend="process",
+                      fault_plan=plan, **kwargs)
+z, r = par.result.tensor.sort(), ref.tensor.sort()
+assert par.result.profile.counters["ft_worker_failures"] >= 1
+assert np.array_equal(z.indices, r.indices), "indices differ"
+assert z.values.tobytes() == r.values.tobytes(), "value bytes differ"
+"""
+
+
+@pytest.mark.skipif(not HAVE_FORK, reason="the private tracker needs fork")
+@pytest.mark.parametrize("path", ["serial_stage1", "hty_cache"])
+def test_pool_started_before_any_export_keeps_operands(path):
+    # A worker forked before the parent's resource tracker runs starts
+    # a private tracker on its first attach, which unlinks the parent's
+    # operand segments when the worker exits: a replacement worker's
+    # attach then fails, and the private tracker warns about "leaks".
+    env = dict(os.environ, PYTHONPATH=PACKAGE_ROOT)
+    env.pop("REPRO_FAULTS", None)
+    proc = subprocess.run(
+        [sys.executable, "-c", _FRESH_POOL_SCRIPT, path],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    tracker_lines = [
+        line for line in proc.stderr.splitlines()
+        if "resource_tracker" in line
+    ]
+    assert not tracker_lines, proc.stderr
+
+
+def test_open_pool_does_not_block_interpreter_exit():
+    # Workers are not daemonic, so the interpreter joins them at exit;
+    # the pool's exit-priority finalizer must stop them first.
+    script = (
+        "from repro.parallel.procpool import SpartaProcessPool\n"
+        "pool = SpartaProcessPool(2)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+        capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def _running(pid: int) -> bool:
+    """Alive and not a zombie (an orphan's reaper may never come)."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(
+    not HAVE_FORK or not os.path.isdir("/proc"),
+    reason="a forked worker holds its parent's pipe end; reads /proc",
+)
+def test_workers_exit_when_their_parent_dies():
+    # A parent killed before it stops its pool must not leave workers
+    # waiting forever on their pipes.
+    script = (
+        "import os, signal\n"
+        "from repro.parallel.procpool import SpartaProcessPool\n"
+        "pool = SpartaProcessPool(2)\n"
+        "print(*(w.proc.pid for w in pool.workers), flush=True)\n"
+        "os.kill(os.getpid(), signal.SIGKILL)\n"
+    )
+    proc = subprocess.Popen(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=PACKAGE_ROOT),
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+    )
+    with proc.stdout:
+        pids = [int(pid) for pid in proc.stdout.readline().split()]
+    proc.wait(timeout=30)
+    assert len(pids) == 2
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and any(map(_running, pids)):
+        time.sleep(0.05)
+    orphans = [pid for pid in pids if _running(pid)]
+    for pid in orphans:
+        os.kill(pid, signal.SIGKILL)
+    assert not orphans

@@ -33,7 +33,6 @@ WORKER_KEYWORDS = {
     "start_method": "spawn",
     "unit_timeout": 60.0,
     "timeout": 120.0,
-    "chunks_per_worker": 2,
 }
 
 

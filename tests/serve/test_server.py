@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing as mp
+import os
+import time
 
 import pytest
 
+import repro.parallel.procpool as procpool
 from repro.core import contract
 from repro.errors import (
     ServeError,
@@ -411,3 +415,53 @@ def test_worker_pool_shutdown_leaks_nothing(pair, shm_leak_check):
                 resp.tensor, direct.tensor, "pool run"
             )
     # context exit closed workers + registry; shm_leak_check verifies
+
+
+def _pid_alive(pid: int) -> bool:
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
+
+
+@pytest.mark.skipif(
+    "fork" not in mp.get_all_start_methods(),
+    reason="pids are recorded by a start patched into forked workers",
+)
+def test_served_process_backend_request(pair, tmp_path, monkeypatch,
+                                        shm_leak_check):
+    # The served call is the direct call, so a request may ask for the
+    # process backend: its worker starts a pool of its own.
+    x, y, cx, cy = pair
+    options = {"method": "parallel", "backend": "process", "threads": 2}
+    direct = contract(x, y, cx, cy, **options)
+    started = tmp_path / "started"
+    real_start = procpool.start_worker
+
+    def recording_start(*args, **kwargs):
+        proc = real_start(*args, **kwargs)
+        with open(started, "a") as f:
+            f.write(f"{os.getpid()} {proc.pid}\n")
+        return proc
+
+    monkeypatch.setattr(procpool, "start_worker", recording_start)
+    with SpTCServer(ServeConfig(workers=1, start_method="fork")) as server:
+        resp = server.submit_and_wait(
+            x, y, cx, cy, options=options, timeout=60
+        )
+    assert resp.retries == 0 and not resp.degraded
+    assert_tensors_bit_identical(resp.tensor, direct.tensor,
+                                 "served process backend")
+    rows = [map(int, line.split()) for line in
+            started.read_text().splitlines()]
+    children = {(parent == os.getpid(), pid) for parent, pid in rows}
+    assert {kind for kind, _ in children} == {True, False}, (
+        "expected a server worker and its own pool workers"
+    )
+    deadline = time.monotonic() + 10.0
+    while time.monotonic() < deadline and any(
+        _pid_alive(pid) for _, pid in children
+    ):
+        time.sleep(0.05)
+    assert not [pid for _, pid in children if _pid_alive(pid)]

@@ -173,8 +173,8 @@ def measure_codegen():
 def measure_planner_uracil():
     """Small uracil-3mode: the ``plan="auto"`` route vs the serial engine.
 
-    BENCH_PR3 showed this case at 0.81x — the parallel machinery's
-    start-up outweighed the tiny contraction. ``contract(plan="auto")``,
+    The 4-worker parallel engine once ran this case at 0.81x of serial —
+    the parallel machinery's start-up outweighed the tiny contraction. ``contract(plan="auto")``,
     the one routing point, must send a 4-worker parallel request to the
     serial fused path and recover >=1.0x.
     """

@@ -13,7 +13,7 @@ Gates (also runnable as pytest):
   end-to-end wall (statistics + decision + chosen engine) is within
   10% of the best hand-picked wall;
 * ``uracil_3mode_speedup_vs_serial`` — the uracil-3mode small case
-  (BENCH_PR3's 0.81x regression) stays >= 1.0x against serial: the
+  (once 0.81x under 4 parallel workers) stays >= 1.0x against serial: the
   wall of the *schedule the planner chose*, re-run through its
   explicit knobs, may not lose to the fused serial engine.  When the
   planner routes serial (the fix for the original regression) the two

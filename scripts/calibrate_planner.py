@@ -5,7 +5,7 @@ Three modes:
 
 ``python scripts/calibrate_planner.py``
     Fit: measure serial stage seconds and parallel overheads on the
-    registry workloads, solve for the 13 coefficients, and print a
+    registry workloads, solve for the 12 coefficients, and print a
     report. Add ``--write`` to persist the fitted profile to
     ``src/repro/planner/calibration.json``.
 
@@ -319,7 +319,7 @@ def _fit_serial(rows: List[dict],
 
 def _measure_parallel(coeff: Dict[str, float],
                       info: Dict[str, float]) -> None:
-    """Fit pool overheads, efficiencies and the merge coefficient.
+    """Fit pool overheads and parallel efficiencies.
 
     Overheads come from tiny near-zero-work runs (wall minus the serial
     wall of the same inputs, solved across two worker counts). The
@@ -434,38 +434,18 @@ def _measure_parallel(coeff: Dict[str, float],
                 mismatches += 1
         return 1e3 * mismatches + err
 
-    # thread efficiency and the merge coefficient interact (the
-    # merge-vs-sort stage-5 discount is efficiency-independent), so
-    # they are fitted jointly; process reuses the fitted merge_unit.
-    merge_grid = [
-        coeff["sort_unit"] * m
-        for m in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0)
-    ]
-    best = None
-    for merge_unit in merge_grid:
+    for backend in ("thread", "process"):
+        name = f"{backend}_efficiency"
+        best = None
         for step in range(1, 31):
-            trial = dict(coeff)
-            trial["merge_unit"] = merge_unit
-            trial["thread_efficiency"] = step / 50.0
-            penalty = score("thread", trial)
+            trial = dict(coeff, **{name: step / 50.0})
+            penalty = score(backend, trial)
             if best is None or penalty < best[0]:
-                best = (penalty, trial["thread_efficiency"], merge_unit)
-    _, coeff["thread_efficiency"], coeff["merge_unit"] = best
-    info["thread_fit_penalty"] = float(best[0])
-    print(f"  thread efficiency -> {coeff['thread_efficiency']:.2f}, "
-          f"merge_unit -> {coeff['merge_unit']:.3g} "
-          f"(penalty {best[0]:.3f})")
-    best = None
-    for step in range(1, 31):
-        trial = dict(coeff)
-        trial["process_efficiency"] = step / 50.0
-        penalty = score("process", trial)
-        if best is None or penalty < best[0]:
-            best = (penalty, trial["process_efficiency"])
-    coeff["process_efficiency"] = best[1]
-    info["process_fit_penalty"] = float(best[0])
-    print(f"  process efficiency -> {coeff['process_efficiency']:.2f} "
-          f"(penalty {best[0]:.3f})")
+                best = (penalty, trial[name])
+        coeff[name] = best[1]
+        info[f"{backend}_fit_penalty"] = float(best[0])
+        print(f"  {backend} efficiency -> {best[1]:.2f} "
+              f"(penalty {best[0]:.3f})")
 
 
 def fit(write: bool) -> int:

@@ -45,7 +45,7 @@ _WORKER_ONLY = frozenset(
 )
 #: keywords whose value ``plan="auto"`` chooses itself (the planner
 #: never swaps the operands)
-_PLANNED = ("backend", "merge_output", "parallel_stage1", "swap_larger_to_y")
+_PLANNED = ("backend", "parallel_stage1", "swap_larger_to_y")
 #: sparta keywords parallel_sparta does not take; a ``plan="auto"`` run
 #: refuses them whichever engine the planner picks
 _SERIAL_ONLY = (
@@ -125,12 +125,12 @@ def _contract_auto(
     ``flags["planner"] = "auto:<engine>"`` and the
     ``planner_est_products``/``planner_candidates`` counters. Worker
     keywords (retries, faults, timeouts, start method) reach only a
-    parallel engine; a ``backend=``, ``parallel_stage1=``,
-    ``merge_output=`` or ``swap_larger_to_y=`` would override the plan
-    and is refused, as is a keyword only the serial engine takes
-    (``granularity=``, ``accumulator_buckets=``, ``workspace_cap=``,
-    ``dense_threshold=``, ``x_format=``), before planning, so the
-    outcome does not depend on the engine the planner picks.
+    parallel engine; a ``backend=``, ``parallel_stage1=`` or
+    ``swap_larger_to_y=`` would override the plan and is refused, as is
+    a keyword only the serial engine takes (``granularity=``,
+    ``accumulator_buckets=``, ``workspace_cap=``, ``dense_threshold=``,
+    ``x_format=``), before planning, so the outcome does not depend on
+    the engine the planner picks.
     """
     import time
 
@@ -204,7 +204,6 @@ def _contract_auto(
             threads=chosen.workers,
             backend=chosen.engine,
             parallel_stage1=chosen.parallel_stage1,
-            merge_output=chosen.merge_output,
             sort_output=sort_output,
             tracer=tracer,
             memory_budget=memory_budget,

@@ -61,7 +61,7 @@ from repro.core.profile import (
 from repro.core.result import ContractionResult
 from repro.core.stages import Stage
 from repro.errors import ContractionError
-from repro.obs.tracer import CAT_CONTRACTION, CAT_MERGE, NULL_TRACER, Tracer
+from repro.obs.tracer import CAT_CONTRACTION, NULL_TRACER, Tracer
 from repro.hashtable.accumulator import HashAccumulator
 from repro.hashtable.spa import SparseAccumulator
 from repro.hashtable.tensor_table import HashTensor
@@ -132,9 +132,8 @@ INLINE = InlineExecutor()
 class MemorySink:
     """Holds each range's output in memory until writeback.
 
-    *merge* (the parallel layer's ``merge_fused_runs``) merges several
-    ranges in sorted order. *budget* and *decision* are set when a
-    memory budget planned the run in core.
+    *budget* and *decision* are set when a memory budget planned the
+    run in core.
     """
 
     streams = False
@@ -144,8 +143,7 @@ class MemorySink:
     #: writeback
     write_seconds = 0.0
 
-    def __init__(self, *, merge=None, budget=None, decision=None) -> None:
-        self.merge = merge
+    def __init__(self, *, budget=None, decision=None) -> None:
         self.budget = budget
         self.decision = decision
         self._runs: dict = {}
@@ -163,26 +161,16 @@ class MemorySink:
     def put(self, index, fr, tracer) -> None:
         self._runs[index] = fr
 
-    def writeback(self, fx_rows, plan, profile, *, sort_output,
-                  zlocal_peak_bytes, tracer, clock):
-        """Stage 4: gather the ranges into Z.
+    def writeback(self, fx_rows, plan, profile, *, zlocal_peak_bytes,
+                  tracer, clock):
+        """Stage 4: gather the ranges, in range order, into Z.
 
-        Returns ``(z, order, merge_seconds)``. *order* says what stage 5
-        has to do: ``True`` when a merge already sorted Z, ``False`` when
-        it must sort, or the output's ``(fgrp, fy)`` keys for the driver
-        to check.
+        Returns ``(z, order)``: *order* is Z's ``(fgrp, fy)`` keys, for
+        the driver's stage-5 order check.
         """
         runs = [self._runs[i] for i in sorted(self._runs)]
         self._runs = {}
-        merge_seconds = 0.0
-        if self.merge is not None and sort_output:
-            t0 = clock()
-            fgrp, fy, vals, order, path = self.merge(runs, plan.fy_dims)
-            merge_seconds = clock() - t0
-            tracer.add_span("merge_output", start=t0,
-                            end=t0 + merge_seconds, cat=CAT_MERGE)
-            profile.bump(f"output_merge_{path}")
-        elif len(runs) == 1:
+        if len(runs) == 1:
             fr = runs[0]
             # Z gets its own values buffer, copied out like Algorithm 2
             # line 17. Aliasing out_vals would keep a buffer allocated
@@ -190,19 +178,17 @@ class MemorySink:
             # allocator then cannot return their heap to the OS (3-4 MB
             # more peak RSS on a 234k-nnz Z).
             fgrp, fy, vals = fr.out_fgrp, fr.out_fy, fr.out_vals.copy()
-            order = (fgrp, fy)
         else:
             empty = [np.empty(0, dtype=np.int64)]
             fgrp = np.concatenate([fr.out_fgrp for fr in runs] or empty)
             fy = np.concatenate([fr.out_fy for fr in runs] or empty)
             vals = np.concatenate([fr.out_vals for fr in runs] or empty)
-            order = False
         del runs
         z = assemble_fused(
             fgrp, fy, vals, fx_rows, plan, profile,
             zlocal_peak_bytes=zlocal_peak_bytes,
         )
-        return z, order, merge_seconds
+        return z, (fgrp, fy)
 
     def note(self, profile) -> None:
         if self.budget is not None:
@@ -358,11 +344,10 @@ def looped_contract(
                 kernel["dense_threshold"] = dense_threshold
             if workspace_cap is not None:
                 kernel["workspace_cap"] = workspace_cap
-            z, order, merge_seconds, products, hta_peak_bytes, probes = (
-                _fused_stages(px, hty if sy is None else sy, plan, profile,
-                              executor=executor, sink=sink,
-                              sort_output=sort_output, kernel=kernel,
-                              tr=tr, clock=clock)
+            z, order, products, hta_peak_bytes, probes = _fused_stages(
+                px, hty if sy is None else sy, plan, profile,
+                executor=executor, sink=sink, kernel=kernel, tr=tr,
+                clock=clock,
             )
             if accumulator != "hash":
                 # The SPA emits each sub-tensor's keys in insertion order.
@@ -374,7 +359,7 @@ def looped_contract(
                 accumulator_buckets=accumulator_buckets,
                 granularity=granularity, tr=tr, clock=clock,
             )
-            order, merge_seconds = False, 0.0
+            order = False
         created = z.nnz
 
         # ---------------- stage 5: output sorting --------------------
@@ -397,11 +382,8 @@ def looped_contract(
             if not presorted:
                 z = z.sort()
             t1 = clock()
-            profile.add_time(Stage.OUTPUT_SORTING,
-                             merge_seconds + (t1 - t0))
+            profile.add_time(Stage.OUTPUT_SORTING, t1 - t0)
             tr.add_span(Stage.OUTPUT_SORTING.value, start=t0, end=t1)
-            # A merge of sorted runs moves every row once per pass, like
-            # the sort it replaces, so the charge is the same either way.
             sort_bytes = int(z.nnz * coo_row_bytes(plan.out_order)
                              * sort_passes(z.nnz))
             for kind in (AccessKind.READ, AccessKind.WRITE):
@@ -441,14 +423,13 @@ def looped_contract(
             budget.release(label, nbytes)
 
 
-def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
-                  kernel, tr, clock):
+def _fused_stages(px, source, plan, profile, *, executor, sink, kernel, tr,
+                  clock):
     """Stages 2-4: the executor runs the ranges, the sink writes Z back.
 
-    Returns ``(z, order, merge_seconds, products, hta_peak_bytes,
-    probes)``; *order* and *merge_seconds* are the sink's (see
-    :meth:`MemorySink.writeback`), *probes* the executor's HtY probe
-    count.
+    Returns ``(z, order, products, hta_peak_bytes, probes)``; *order* is
+    the sink's (see :meth:`MemorySink.writeback`), *probes* the
+    executor's HtY probe count.
     """
     totals = _Totals(len(plan.fx))
 
@@ -488,18 +469,15 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
         hta_peak_bytes = totals.spa_peak_bytes
 
     t0 = clock()
-    z, order, merge_seconds = sink.writeback(
+    z, order = sink.writeback(
         px.fx_rows, plan, profile,
-        sort_output=sort_output,
         zlocal_peak_bytes=(
             totals.zlocal_peak_bytes if executor.concurrent else None
         ),
         tracer=tr, clock=clock,
     )
     t1 = clock()
-    # A merge inside writeback is stage 5's work; the driver charges it
-    # there.
-    write = (t1 - t0) - merge_seconds
+    write = t1 - t0
     profile.add_time(Stage.WRITEBACK, write + streamed)
     if tr.enabled:
         # Search and accumulation interleave inside the kernels, so
@@ -515,12 +493,11 @@ def _fused_stages(px, source, plan, profile, *, executor, sink, sort_output,
             tr.add_span(Stage.WRITEBACK.value, start=t0 - streamed,
                         end=t1, measured="streamed")
         elif executor.concurrent:
-            tr.add_span(Stage.WRITEBACK.value, start=t0 + merge_seconds,
-                        end=t1)
+            tr.add_span(Stage.WRITEBACK.value, start=t0, end=t1)
         else:
             tr.add_span(Stage.WRITEBACK.value, start=t, end=t + write,
                         measured="aggregate")
-    return z, order, merge_seconds, totals.products, hta_peak_bytes, probes
+    return z, order, totals.products, hta_peak_bytes, probes
 
 
 def _loop_stages(px, sy, hty, plan, profile, *, y_structure, accumulator,

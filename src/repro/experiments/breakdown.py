@@ -10,8 +10,9 @@ Run as ``python -m repro.experiments.breakdown [--engine
 spa|sparta|parallel] [--scale S]``. With ``--engine parallel`` the same
 breakdown comes from the all-stage parallel executor (``--threads``,
 ``--backend``): stage 1 is the partitioned HtY build, stages 2-4 are the
-fused worker chunks, and stage 5 is the merge-based output sort — so the
-table shows how parallelism shifts the Figure-2 shares.
+fused worker chunks, and stage 5 checks the gathered Z's order as on a
+serial run — so the table shows how parallelism shifts the Figure-2
+shares.
 """
 
 from __future__ import annotations

@@ -18,9 +18,10 @@ shared-memory process backend (``backend="process"``) and reports the
 Figure-6 mode on multi-core hosts (it is meaningless on one core, where
 process overhead makes the ratio < 1). The measured run exercises the
 full all-stage pipeline: workers build HtY partials from Y spans while
-the parent sorts X, and the parent k-way merges the workers' presorted
-chunk outputs instead of re-sorting Z (see ``benchmarks/bench_pr3.py``
-for the seed-vs-all-stage comparison).
+the parent sorts X, and the parent gathers the workers' presorted chunk
+outputs in chunk order, so stage 5 only checks that Z is sorted (see
+``benchmarks/bench_fig6_scalability.py`` for the seed-vs-all-stage
+comparison).
 
 Run as ``python -m repro.experiments.scalability [--scale S]``.
 """

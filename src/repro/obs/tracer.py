@@ -34,7 +34,6 @@ __all__ = ["NULL_TRACER", "NullTracer", "Span", "TraceRecord", "Tracer"]
 CAT_CONTRACTION = "contraction"
 CAT_STAGE = "stage"
 CAT_WORKER = "worker"
-CAT_MERGE = "merge"
 CAT_FAULT = "fault"
 CAT_RECOVERY = "recovery"
 CAT_SPILL = "spill"

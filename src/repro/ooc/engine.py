@@ -336,8 +336,8 @@ class SpillSink:
                 rows=int(n), bytes=int(n * (8 * plan.out_order + 8)),
             )
 
-    def writeback(self, fx_rows, plan, profile, *, sort_output,
-                  zlocal_peak_bytes, tracer, clock):
+    def writeback(self, fx_rows, plan, profile, *, zlocal_peak_bytes,
+                  tracer, clock):
         """Stage 4's close (:func:`stream_finalize`). Z comes back in
         range order, which is sorted, so stage 5 has nothing left to
         do."""
@@ -346,7 +346,7 @@ class SpillSink:
             self.budget, clock=clock, tracer=tracer,
             zlocal_peak_bytes=zlocal_peak_bytes,
         )
-        return z, True, 0.0
+        return z, True
 
     def note(self, profile) -> None:
         profile.set_flag("ooc", "spill")
@@ -372,13 +372,12 @@ def budget_sink(
     workers: int = 1,
     force_spill: bool = False,
     spill_root: Optional[str] = None,
-    merge=None,
 ):
     """The sink *memory_budget* asks for when contracting *x* with *y*.
 
     A :class:`SpillSink` when :func:`~repro.planner.ooc.plan_ooc` finds
     the working set of *workers* workers over the cap (or
-    ``force_spill``), else a budgeted ``MemorySink`` with *merge*.
+    ``force_spill``), else a budgeted ``MemorySink``.
     """
     budget = (
         memory_budget
@@ -393,7 +392,7 @@ def budget_sink(
     )
     if decision.out_of_core:
         return SpillSink(budget, decision, spill_root)
-    return MemorySink(merge=merge, budget=budget, decision=decision)
+    return MemorySink(budget=budget, decision=decision)
 
 
 def ooc_contract(

@@ -7,12 +7,6 @@ from repro.parallel.executor import (
     ThreadStats,
     parallel_sparta,
 )
-from repro.parallel.merge import (
-    merge_fused_runs,
-    merge_sorted_runs,
-    run_is_sorted,
-    runs_strictly_ordered,
-)
 from repro.parallel.model import (
     CALIBRATED_SERIAL_FRACTIONS,
     ScalabilityModel,
@@ -53,12 +47,8 @@ __all__ = [
     "even_spans",
     "export_operands",
     "export_y",
-    "merge_fused_runs",
-    "merge_sorted_runs",
     "parallel_sparta",
     "partition_imbalance",
     "partition_subtensors",
     "resolve_start_method",
-    "run_is_sorted",
-    "runs_strictly_ordered",
 ]

@@ -21,19 +21,18 @@ for that loop:
   wall-clock scaling on multi-core hosts
   (:attr:`ParallelResult.wall_seconds`).
 
-The serial stages around the loop are parallel too: stage 1 partitions
-Y's non-zeros into per-worker spans whose partial groupings merge
-deterministically into the exact HtY ``from_coo`` would build
-(``parallel_stage1``), and stage 5 k-way merges the workers' presorted
-chunk outputs instead of re-sorting Z (``merge_output``,
-:mod:`repro.parallel.merge`) — so no stage leaves a serial Amdahl cap.
+Stage 1 is parallel too: it partitions Y's non-zeros into per-worker
+spans whose partial groupings merge deterministically into the exact
+HtY ``from_coo`` would build (``parallel_stage1``). Stage 5 has no
+parallel form: the ranges are disjoint ascending sub-tensor spans,
+gathered in range order, so Z arrives sorted and the driver's order
+check skips the sort exactly as on a serial run.
 
 Both executors run the fused flat-batch kernel per range, and every
 flag combination is bit-identical to the serial fused engine:
 ranges/chunks cut at sub-tensor boundaries, so every output key is
-reduced inside a single range in X-row order, the stage-1 merge
-reorders whole groups without touching within-group row order, and the
-stage-5 merge provably equals the stable lexsort it replaces. Stage
+reduced inside a single range in X-row order, and the stage-1 merge
+reorders whole groups without touching within-group row order. Stage
 order, the Table-2 traffic and the memory budget belong to the driver,
 so parallel runs charge exactly what serial runs charge (pinned by
 ``tests/parallel/test_traffic_conservation.py``).
@@ -64,7 +63,6 @@ from repro.hashtable.tensor_table import (
     split_contract_modes,
 )
 from repro.obs.tracer import CAT_WORKER, Tracer
-from repro.parallel.merge import merge_fused_runs
 from repro.parallel.partition import (
     even_spans,
     partition_imbalance,
@@ -135,7 +133,6 @@ def parallel_sparta(
     hty_cache: Optional[HtYCache] = None,
     start_method: Optional[str] = None,
     parallel_stage1: bool = True,
-    merge_output: bool = True,
     fault_plan: Optional[FaultPlan] = None,
     max_retries: int = 2,
     on_failure: str = "raise",
@@ -160,11 +157,12 @@ def parallel_sparta(
 
     ``parallel_stage1`` builds HtY from per-worker partial groupings
     merged in the parent (stage 1 parallel; skipped when an
-    ``hty_cache`` serves the build, or when an operand is empty);
-    ``merge_output`` replaces the final full lexsort of Z with a merge
-    of the per-range sorted runs (stage 5 parallel). Worker ranges
-    balance cumulative non-zeros. Output is bit-identical across
-    backends, worker counts and all of these switches.
+    ``hty_cache`` serves the build, or when an operand is empty).
+    Worker ranges balance cumulative non-zeros, and the parent gathers
+    them in range order, so stage 5 finds Z sorted and skips the sort
+    (``flags["output_sorting"] = "presorted"``). Output is
+    bit-identical across backends, worker counts and both settings of
+    ``parallel_stage1``.
 
     Fault tolerance: a worker failure (hard death, hang past
     ``unit_timeout``, corrupt payload) loses only the chunk the worker
@@ -232,9 +230,8 @@ def parallel_sparta(
             threads, parallel_stage1=parallel_stage1, policy=policy,
             log=log, fault_plan=fault_plan, start_method=start_method,
         )
-    merge = merge_fused_runs if merge_output else None
     if memory_budget is None:
-        sink = MemorySink(merge=merge)
+        sink = MemorySink()
     else:
         # Imported lazily: repro.ooc imports repro.parallel, so a
         # top-level import here would cycle through its __init__.
@@ -242,7 +239,7 @@ def parallel_sparta(
 
         sink = budget_sink(
             memory_budget, x, y, cx, cy, workers=threads,
-            force_spill=force_spill, spill_root=spill_root, merge=merge,
+            force_spill=force_spill, spill_root=spill_root,
         )
     wall0 = time.perf_counter()
     res = looped_contract(

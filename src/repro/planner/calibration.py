@@ -36,7 +36,7 @@ __all__ = [
 ]
 
 #: bump when coefficient names or consuming formulas change shape
-CALIBRATION_VERSION = 1
+CALIBRATION_VERSION = 2
 
 #: committed fitted profile, loaded by :func:`default_calibration`
 CALIBRATION_PATH = Path(__file__).with_name("calibration.json")
@@ -51,7 +51,6 @@ _BUILTIN_COEFFICIENTS: Dict[str, float] = {
     "product_hash": 6.0e-9,     # per partial product, hash accumulation
     "product_dense": 3.0e-9,    # per partial product, dense workspace
     "writeback": 2.5e-8,        # per created output non-zero (stage 4)
-    "merge_unit": 8.0e-9,       # per output nnz of the stage-5 merge
     # parallel overheads (seconds)
     "thread_pool": 2.0e-4,      # ThreadPoolExecutor start-up
     "thread_worker": 1.0e-4,    # per thread

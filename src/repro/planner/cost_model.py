@@ -22,7 +22,6 @@ count or the contracted-space occupancy grows (pinned by
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Dict, Tuple
 
@@ -145,7 +144,6 @@ class CostModel:
         engine: str = "serial",
         workers: int = 1,
         parallel_stage1: bool = True,
-        merge_output: bool = True,
         accumulator: str = "hash",
         sort_output: bool = True,
     ) -> CostEstimate:
@@ -167,8 +165,8 @@ class CostModel:
             speedup = 1.0 + (workers - 1) * eff
             stages = dict(serial)
             # Stages 2-3 (and stage 1's HtY build under parallel_stage1)
-            # run on the workers; X sort, writeback and the stage-5
-            # merge/sort stay in the parent.
+            # run on the workers; X sort, writeback and stage 5 stay in
+            # the parent, at the serial cost.
             stages[Stage.INDEX_SEARCH.value] /= speedup
             stages[Stage.ACCUMULATION.value] /= speedup
             if parallel_stage1:
@@ -179,26 +177,6 @@ class CostModel:
                 )
             overhead = (
                 c[f"{engine}_pool"] + c[f"{engine}_worker"] * workers
-            )
-        if engine != "serial" and merge_output:
-            # Merge-based output sorting: each worker sorts its own run
-            # of ~created/workers entries concurrently, then the parent
-            # k-way-merges the presorted runs. The run sort shrinks
-            # with workers while the merge grows with log2(workers), so
-            # the model can prefer wider pools on sort-heavy outputs
-            # and narrower ones when the merge would dominate.
-            per_run = stats.est_created / max(workers, 1)
-            run_sort = (
-                c["sort_unit"] * per_run
-                * math.log2(max(per_run, 2.0))
-            )
-            kway = (
-                c["merge_unit"] * stats.est_created
-                * max(math.log2(max(workers, 2)), 1.0)
-            )
-            stages[Stage.OUTPUT_SORTING.value] = min(
-                stages[Stage.OUTPUT_SORTING.value],
-                run_sort + kway,
             )
         if not sort_output:
             stages[Stage.OUTPUT_SORTING.value] = 0.0

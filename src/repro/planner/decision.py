@@ -2,10 +2,10 @@
 
 :func:`enumerate_plans` spans the discrete schedule space the engines
 expose: engine (fused serial / thread / process) and worker count,
-stage-1 HtY build strategy (whole vs. partitioned partials), stage-5
-output strategy (merge vs. full sort), predicted accumulator (hash vs.
-dense workspace, using the codegen gate), and the §3.3 operand-swap
-mode permutation. :func:`choose_plan` scores every candidate with the
+stage-1 HtY build strategy (whole vs. partitioned partials), predicted
+accumulator (hash vs. dense workspace, using the codegen gate), and the
+§3.3 operand-swap mode permutation. :func:`choose_plan` scores every
+candidate with the
 :class:`~repro.planner.cost_model.CostModel` and returns an
 explainable :class:`PlanDecision` — the chosen knobs plus the full
 per-candidate cost table.
@@ -65,7 +65,6 @@ class PlanCandidate:
     engine: str                 # "serial" | "thread" | "process"
     workers: int = 1
     parallel_stage1: bool = True
-    merge_output: bool = True
     #: accumulation strategy the fused kernel is predicted to use
     accumulator: str = "hash"   # "hash" | "dense"
     #: §3.3 operand swap (mode permutation of the free/contract split)
@@ -78,8 +77,6 @@ class PlanCandidate:
             parts.append(f"x{self.workers}")
             if not self.parallel_stage1:
                 parts.append("serial-s1")
-            if not self.merge_output:
-                parts.append("sort-s5")
         if self.accumulator != "hash":
             parts.append(self.accumulator)
         if self.swap:
@@ -91,7 +88,6 @@ class PlanCandidate:
             "engine": self.engine,
             "workers": self.workers,
             "parallel_stage1": self.parallel_stage1,
-            "merge_output": self.merge_output,
             "accumulator": self.accumulator,
             "swap": self.swap,
         }
@@ -102,7 +98,6 @@ class PlanCandidate:
             engine=str(d["engine"]),
             workers=int(d["workers"]),
             parallel_stage1=bool(d["parallel_stage1"]),
-            merge_output=bool(d["merge_output"]),
             accumulator=str(d["accumulator"]),
             swap=bool(d["swap"]),
         )
@@ -260,7 +255,6 @@ def enumerate_plans(
                     engine=engine,
                     workers=w,
                     parallel_stage1=True,
-                    merge_output=True,
                     accumulator=acc,
                 )
             )
@@ -331,7 +325,6 @@ def choose_plan(
             engine=cand.engine,
             workers=cand.workers,
             parallel_stage1=cand.parallel_stage1,
-            merge_output=cand.merge_output,
             accumulator=cand.accumulator,
             sort_output=sort_output,
         )

@@ -2,10 +2,11 @@
 
 The hash-accumulator kernels write each chunk's output in ``(fgrp,
 LN(Fy))`` order and chunks arrive in ascending sub-tensor order, which is
-Z's lexicographic row order. The serial fused path therefore skips its
-stage-5 sort (``flags["output_sorting"] == "presorted"``) while still
-charging the sort's Table-2 bytes; the SPA, ``element`` and
-``subtensor_loop`` paths keep sorting.
+Z's lexicographic row order. Every fused hash path (serial, thread,
+process, budgeted in core) therefore skips its stage-5 sort
+(``flags["output_sorting"] == "presorted"``) while still charging the
+sort's Table-2 bytes; the SPA, ``element`` and ``subtensor_loop`` paths
+keep sorting.
 """
 
 import functools
@@ -28,6 +29,7 @@ from repro.core.profile import (
     RunProfile,
 )
 from repro.core.stages import Stage
+from repro.datasets import make_case
 from repro.hashtable.tensor_table import HashTensor
 from repro.ooc import ooc_contract
 from repro.parallel import parallel_sparta
@@ -72,6 +74,25 @@ def _assert_z_is_its_own_sort(z):
     s = z.sort()
     assert z.indices.tobytes() == s.indices.tobytes()
     assert z.values.tobytes() == s.values.tobytes()
+
+
+def _assert_parallel_paths_presorted(x, y, cx, cy):
+    """Workers' ranges gathered in range order are Z in sorted order, so
+    the driver's one order check skips the sort on the thread and
+    process backends and on a budgeted run kept in core."""
+    __tracebackhide__ = True
+    ref = _contract(x, y, cx, cy, method="sparta")
+    for backend, budget in (("thread", None), ("process", None),
+                            ("thread", "1G")):
+        par = parallel_sparta(x, y, cx, cy, threads=3, backend=backend,
+                              memory_budget=budget)
+        flags = par.result.profile.flags
+        assert flags["output_sorting"] == "presorted", (backend, budget)
+        if budget is not None:
+            assert flags["ooc"] == "in_core"
+        z = par.result.tensor
+        assert z.indices.tobytes() == ref.tensor.indices.tobytes()
+        assert z.values.tobytes() == ref.tensor.values.tobytes()
 
 
 def _sorting_cells(profile):
@@ -239,12 +260,11 @@ class TestParallelAndOutOfCore:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_parallel_gather_is_presorted(self, seed):
-        x, y, cx, cy = _random_pair(100 + seed)
-        par = parallel_sparta(x, y, cx, cy, threads=3, backend="thread")
-        counters = par.result.profile.counters
-        assert counters.get("output_merge_concat", 0) + counters.get(
-            "output_merge_empty", 0) == 1
-        _assert_z_is_its_own_sort(par.result.tensor)
+        _assert_parallel_paths_presorted(*_random_pair(100 + seed))
+
+    def test_parallel_gather_is_presorted_on_nips(self):
+        case = make_case("nips", 1, scale=0.2, seed=0)
+        _assert_parallel_paths_presorted(case.x, case.y, case.cx, case.cy)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_ooc_runs_are_sorted(self, seed, tmp_path):

@@ -13,7 +13,7 @@ from __future__ import annotations
 import pytest
 
 from repro.core import contract
-from repro.core.stages import STAGE_ORDER
+from repro.core.stages import STAGE_ORDER, Stage
 from repro.obs import Tracer
 from repro.parallel import parallel_sparta
 from repro.tensor import random_tensor, random_tensor_fibered
@@ -109,17 +109,20 @@ class TestParallelBackends:
         ]
         assert partials and all(r.tid >= 1 for r in partials)
 
-    def test_merge_span_present_on_merge_sort(self, pair):
+    def test_output_sorting_span_present(self, pair):
+        # Stage 5 of a parallel run is the driver's order check, traced
+        # as the same stage span a serial run records.
         x, y = pair
         tracer = Tracer()
-        parallel_sparta(
-            x, y, *MODES, threads=2, backend="thread",
-            merge_output=True, tracer=tracer,
+        par = parallel_sparta(
+            x, y, *MODES, threads=2, backend="thread", tracer=tracer,
         )
-        assert any(
-            r.name == "merge_output" and r.cat == "merge"
-            for r in tracer.spans()
-        )
+        assert par.result.profile.flags["output_sorting"] == "presorted"
+        spans = [
+            r for r in tracer.spans()
+            if r.name == Stage.OUTPUT_SORTING.value and r.cat == "stage"
+        ]
+        assert len(spans) == 1 and spans[0].dur >= 0.0
 
 
 class TestTracingDisabledDifferential:

@@ -80,21 +80,19 @@ class TestTrafficConservation:
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("parallel_stage1", [False, True])
-    @pytest.mark.parametrize("merge_output", [False, True])
     def test_stage15_flags_keep_traffic_and_probes(
-        self, pair, serial_cells, backend, parallel_stage1, merge_output
+        self, pair, serial_cells, backend, parallel_stage1
     ):
-        # The parallel stage-1 build and merge-based stage-5 sort must
-        # charge byte-exactly the serial Table-2 cells and the serial
-        # hash_probes, in every flag combination on both backends.
+        # The parallel stage-1 build must charge byte-exactly the serial
+        # Table-2 cells and the serial hash_probes, either way on both
+        # backends.
         x, y = pair
         serial = contract(
             x, y, (2, 3), (0, 1), method="sparta", swap_larger_to_y=False
         )
         par = parallel_sparta(
             x, y, (2, 3), (0, 1),
-            threads=3, backend=backend,
-            parallel_stage1=parallel_stage1, merge_output=merge_output,
+            threads=3, backend=backend, parallel_stage1=parallel_stage1,
         )
         cells = traffic_by_cell(par.result.profile)
         assert cells == serial_cells

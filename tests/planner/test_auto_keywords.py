@@ -52,12 +52,23 @@ def _small():
     return x, y, (2,), (0,)
 
 
-def _nips():
-    case = make_case("nips", 1, scale=0.5, seed=1)
-    return case.x, case.y, case.cx, case.cy
+def _dataset(name, modes):
+    def build():
+        case = make_case(name, modes, scale=0.5, seed=1)
+        return case.x, case.y, case.cx, case.cy
+
+    return build
 
 
-CASES = {"small": _small, "nips-1mode": _nips}
+CASES = {
+    "small": _small,
+    "nips-1mode": _dataset("nips", 1),
+    "chicago-1mode": _dataset("chicago", 1),
+}
+
+#: the engine kind the planner picks for each case at 2 workers
+BRANCH = {"small": "serial", "nips-1mode": "serial",
+          "chicago-1mode": "parallel"}
 
 
 @pytest.fixture(scope="module", params=sorted(CASES))
@@ -77,17 +88,15 @@ def _explicit(operands, chosen, **kwargs):
         threads=chosen.workers,
         backend=chosen.engine,
         parallel_stage1=chosen.parallel_stage1,
-        merge_output=chosen.merge_output,
         **kwargs,
     ).result
 
 
 def test_cases_cover_both_branches(planned):
     name, _, chosen = planned
-    if name == "small":
-        assert chosen.engine == "serial"
-    else:
-        assert chosen.engine != "serial"
+    assert set(BRANCH.values()) == {"serial", "parallel"}
+    kind = "serial" if chosen.engine == "serial" else "parallel"
+    assert kind == BRANCH[name]
 
 
 @pytest.mark.parametrize("keyword", sorted(WORKER_KEYWORDS))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import contract
 from repro.core.htycache import cached_plan
+from repro.core.stages import Stage
 from repro.datasets import make_case
 from repro.errors import ContractionError
 from repro.planner import (
@@ -65,7 +66,7 @@ schedules = st.sampled_from(
         {"engine": "thread", "workers": 4},
         {"engine": "process", "workers": 2},
         {"engine": "thread", "workers": 8, "parallel_stage1": False},
-        {"engine": "thread", "workers": 2, "merge_output": False},
+        {"engine": "thread", "workers": 2},
     ]
 )
 accumulators = st.sampled_from(["hash", "dense"])
@@ -146,6 +147,38 @@ class TestMonotonicity:
         )
         for stage, nbytes in lo.items():
             assert hi[stage] >= nbytes
+
+
+class TestOutputSortingCostedOnce:
+    """Stage 5 runs the same order check on every engine, so every
+    candidate pays the serial candidate's stage-5 seconds."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        nnz_x=stat_sizes, nnz_y=stat_sizes, groups=deltas,
+        fy_capacity=st.integers(min_value=1, max_value=1 << 24),
+        engine=st.sampled_from(["thread", "process"]),
+        workers=st.integers(min_value=1, max_value=64),
+        parallel_stage1=st.booleans(), sort_output=st.booleans(),
+        accumulator=accumulators,
+    )
+    def test_parallel_stage5_equals_serial(
+        self, nnz_x, nnz_y, groups, fy_capacity, engine, workers,
+        parallel_stage1, sort_output, accumulator,
+    ):
+        stats = make_stats(nnz_x, nnz_y, groups, fy_capacity=fy_capacity)
+        stage5 = Stage.OUTPUT_SORTING.value
+        for model in (MODEL, CostModel()):
+            serial = dict(model.estimate(
+                stats, engine="serial", accumulator=accumulator,
+                sort_output=sort_output,
+            ).stage_seconds)
+            parallel = dict(model.estimate(
+                stats, engine=engine, workers=workers,
+                parallel_stage1=parallel_stage1, accumulator=accumulator,
+                sort_output=sort_output,
+            ).stage_seconds)
+            assert parallel[stage5] == serial[stage5]
 
 
 class TestCalibration:
